@@ -10,11 +10,27 @@ representative is total and deterministic; actual ties are observable
 through find_maximal_ties rather than hidden.
 
 Digit strings are most-significant-first everywhere in this module.
+
+Which remainders a prefix of the basis can write follows from a
+completeness lemma (Fraenkel, *Systems of numeration*, Amer. Math.
+Monthly 92, 1985).  Write S_0 = 0 and S_k = b*(t_1 + ... + t_k).  If
+t_j <= 1 + S_{j-1} for every j <= k (so t_1 = 1), the values that
+t_1..t_k write with digits 0..b are exactly the integers 0..S_k.
+Proof, by induction on k: those values are the union over d = 0..b of
+d*t_k + [0, S_{k-1}], and consecutive pieces meet because
+t_k <= S_{k-1} + 1, so the union is [0, b*t_k + S_{k-1}] = [0, S_k].
+Up to the longest prefix that meets the condition, feasibility is
+therefore a range test; above it a memoized search remains.  Every
+regular case with p <= 12 and q <= 13 meets the condition on its first
+80 terms, and so does the second odd variant of {4,5}; the first odd
+variant of {4,5} fails it at the second term.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import spectral, tree
@@ -101,9 +117,16 @@ def grow(seq: BasisSequence, n: int) -> BasisSequence:
 
 
 def _grown_for(seq: BasisSequence, value: int) -> BasisSequence:
-    while seq.terms[-1] <= value:
-        seq = grow(seq, len(seq.terms) + len(seq.coefficients))
-    return seq
+    """The basis extended, in one pass, until its last term exceeds value."""
+    if seq.terms[-1] > value:
+        return seq
+    terms = list(seq.terms)
+    coeffs = seq.coefficients
+    d = len(coeffs)
+    while terms[-1] <= value:
+        terms.append(sum(c * t for c, t in zip(coeffs, terms[-d:])))
+        _check_increasing(terms[-2:])
+    return BasisSequence(tuple(terms), coeffs, seq.digit_bound, seq.origin)
 
 
 def decode(digits, seq: BasisSequence) -> int:
@@ -129,7 +152,7 @@ def represent_greedy(value: int, seq: BasisSequence) -> Representation:
         return Representation((0,), 0)
     seq = _grown_for(seq, value)
     b = seq.digit_bound
-    k = max(i for i, t in enumerate(seq.terms) if t <= value)
+    k = bisect_right(seq.terms, value) - 1
     digits = []
     r = value
     for pos in range(k, -1, -1):
@@ -141,44 +164,68 @@ def represent_greedy(value: int, seq: BasisSequence) -> Representation:
     return Representation(tuple(digits), value)
 
 
+#: Bounds on the cached search state: at most _CACHED_BASES bases keep a
+#: feasibility table, and a table's memo is dropped once it holds
+#: _MEMO_LIMIT entries (only bases past their interval prefix fill it).
+_CACHED_BASES = 16
+_MEMO_LIMIT = 1 << 15
+
+
 class _Feasibility:
-    """Memoized test: can a remainder be written with the first k terms?"""
+    """Can a remainder be written with the first k terms and digits 0..bound?
+
+    For k up to ``interval``, the longest prefix of terms meeting the
+    completeness condition, the answer is 0 <= r <= max_sum[k]; above it
+    the answer is searched digit by digit and memoized.
+    """
 
     def __init__(self, terms: tuple[int, ...], bound: int):
         self.terms = terms
         self.bound = bound
         sums = [0]
-        for t in terms:
+        interval = 0
+        for k, t in enumerate(terms, 1):
+            if interval == k - 1 and t <= sums[-1] + 1:
+                interval = k
             sums.append(sums[-1] + bound * t)
         self.max_sum = sums
+        self.interval = interval
         self.memo: dict[tuple[int, int], bool] = {}
 
     def can(self, k: int, r: int) -> bool:
+        if k <= self.interval:
+            return 0 <= r <= self.max_sum[k]
         if r == 0:
             return True
-        if k <= 0 or r < 0 or r > self.max_sum[k]:
+        if r < 0 or r > self.max_sum[k]:
             return False
         key = (k, r)
         hit = self.memo.get(key)
         if hit is None:
-            t = self.terms[k - 1]
-            hit = any(
-                self.can(k - 1, r - d * t) for d in range(min(self.bound, r // t) + 1)
-            )
+            hit = self.least_digit(k, r, 0) is not None
+            if len(self.memo) >= _MEMO_LIMIT:
+                self.memo.clear()
             self.memo[key] = hit
         return hit
 
+    def least_digit(self, k: int, r: int, lo: int) -> int | None:
+        """Smallest digit d >= lo of term k leaving r - d*t_k writable by
+        the first k-1 terms, or None if there is none."""
+        t = self.terms[k - 1]
+        if k - 1 <= self.interval:
+            d = (r - self.max_sum[k - 1] + t - 1) // t
+            if d < lo:
+                d = lo
+            return d if d <= self.bound and d * t <= r else None
+        for d in range(lo, min(self.bound, r // t) + 1):
+            if self.can(k - 1, r - d * t):
+                return d
+        return None
 
-_FEASIBILITY_CACHE: dict[tuple[tuple[int, ...], int], _Feasibility] = {}
 
-
-def _feasibility(seq: BasisSequence, bound: int) -> _Feasibility:
-    key = (seq.terms, bound)
-    feas = _FEASIBILITY_CACHE.get(key)
-    if feas is None:
-        feas = _Feasibility(seq.terms, bound)
-        _FEASIBILITY_CACHE[key] = feas
-    return feas
+@lru_cache(maxsize=_CACHED_BASES)
+def _feasibility(terms: tuple[int, ...], bound: int) -> _Feasibility:
+    return _Feasibility(terms, bound)
 
 
 def represent_maximal(
@@ -186,10 +233,15 @@ def represent_maximal(
 ) -> Representation:
     """Longest digit string for the value; lexicographically smallest on ties.
 
-    Works by dynamic programming over term indices: first find the
-    greatest feasible length (leading digit nonzero), then fix digits
-    from the most significant end, always the smallest digit that leaves
-    a completable remainder.
+    First find the greatest feasible length (leading digit nonzero),
+    then fix digits from the most significant end, always the smallest
+    digit that leaves a completable remainder.  By the completeness
+    lemma of the module docstring, while the lower terms meet
+    t_j <= 1 + b*(t_1 + ... + t_{j-1}) they write exactly the remainders
+    0..b*(t_1 + ... + t_{k-1}), so that digit is a closed form,
+    max(lo, ceil((r - b*(t_1 + ... + t_{k-1})) / t_k)), valid when it
+    does not exceed min(b, r // t_k); above that prefix the digits are
+    tried in turn against a memoized search.
     """
     if value < 0:
         raise ValueError("value must be >= 0")
@@ -199,31 +251,24 @@ def represent_maximal(
     if bound < 1:
         raise Unrepresentable("digit bound below 1 admits only zero")
     seq = _grown_for(seq, value)
-    feas = _feasibility(seq, bound)
     terms = seq.terms
+    feas = _feasibility(terms, bound)
 
-    length = None
-    k_max = max(i + 1 for i, t in enumerate(terms) if t <= value)
-    for k in range(k_max, 0, -1):
-        t = terms[k - 1]
-        if any(feas.can(k - 1, value - d * t) for d in range(1, min(bound, value // t) + 1)):
-            length = k
+    for length in range(bisect_right(terms, value), 0, -1):
+        lead = feas.least_digit(length, value, 1)
+        if lead is not None:
             break
-    if length is None:
+    else:
         raise Unrepresentable(f"no digit string over 0..{bound} encodes {value}")
 
-    digits = []
-    r = value
-    for pos in range(length, 0, -1):
-        t = terms[pos - 1]
-        lo = 1 if pos == length else 0
-        for d in range(lo, min(bound, r // t) + 1):
-            if feas.can(pos - 1, r - d * t):
-                digits.append(d)
-                r -= d * t
-                break
-        else:  # pragma: no cover - the length search guarantees a digit
+    digits = [lead]
+    r = value - lead * terms[length - 1]
+    for pos in range(length - 1, 0, -1):
+        d = feas.least_digit(pos, r, 0)
+        if d is None:  # pragma: no cover - the length search guarantees a digit
             raise AssertionError("feasible length lost during digit fixing")
+        digits.append(d)
+        r -= d * terms[pos - 1]
     if r != 0:  # pragma: no cover
         raise AssertionError("digits do not exhaust the value")
     return Representation(tuple(digits), value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import CapExceeded, TooFewLevels
 from .polyint import degree, normalize
@@ -40,24 +40,26 @@ def expand(kind: Region, system: SplittingSystem) -> list[Region]:
     return out
 
 
-def kind_counts(system: SplittingSystem, depth: int) -> list[tuple[int, ...]]:
-    """Exact per-kind node counts for levels 0..depth, as seed row times
-    successive matrix powers."""
+def _level_vectors(system: SplittingSystem):
+    """Exact per-kind node counts of levels 0, 1, 2, ..., as the seed row
+    times successive matrix powers."""
     regions = system.regions
-    idx = {k: i for i, k in enumerate(regions)}
     rows = [
         tuple(system.rule(parent).multiplicity(child) for child in regions)
         for parent in regions
     ]
     vec = tuple(1 if k is system.seed else 0 for k in regions)
-    out = [vec]
-    for _ in range(depth):
+    while True:
+        yield vec
         vec = tuple(
             sum(vec[i] * rows[i][j] for i in range(len(regions)))
             for j in range(len(regions))
         )
-        out.append(vec)
-    return out
+
+
+def kind_counts(system: SplittingSystem, depth: int) -> list[tuple[int, ...]]:
+    """Exact per-kind node counts for levels 0..depth."""
+    return list(islice(_level_vectors(system), depth + 1))
 
 
 def predicted_total(system: SplittingSystem, depth: int) -> int:
@@ -69,21 +71,11 @@ def max_depth_within_cap(system: SplittingSystem, cap: int | None = None) -> int
     cap = node_cap() if cap is None else cap
     if cap < 1:
         raise CapExceeded(f"cap {cap} cannot hold even the root")
-    total, depth = 1, 0
-    vec = {k: (1 if k is system.seed else 0) for k in system.regions}
-    while True:
-        nxt = {
-            child: sum(
-                vec[parent] * system.rule(parent).multiplicity(child)
-                for parent in system.regions
-            )
-            for child in system.regions
-        }
-        total += sum(nxt.values())
+    total = 0
+    for depth, vec in enumerate(_level_vectors(system)):
+        total += sum(vec)
         if total > cap:
-            return depth
-        vec = nxt
-        depth += 1
+            return depth - 1
 
 
 @dataclass(frozen=True)
@@ -181,20 +173,24 @@ def generate(
 ) -> SpanningTree:
     """Breed the full tree of the given depth from the seed region.
 
-    The total node count is predicted exactly from the matrix action
-    before anything is allocated; a prediction beyond the cap raises
-    CapExceeded up front.
+    Level sizes are predicted exactly from the matrix action before
+    anything is allocated; the first level at which the running total
+    passes the cap raises CapExceeded, so a refusal costs no more than
+    the levels below the cap, whatever the depth asked for.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     cap = node_cap() if cap is None else cap
-    per_level = kind_counts(system, depth)
-    total = sum(sum(v) for v in per_level)
-    if total > cap:
-        raise CapExceeded(
-            f"{system.pair} {system.scheme.tag} depth {depth}: "
-            f"{total} nodes exceed the cap of {cap}"
-        )
+    sizes = []
+    total = 0
+    for level, vec in zip(range(depth + 1), _level_vectors(system)):
+        sizes.append(sum(vec))
+        total += sizes[-1]
+        if total > cap:
+            raise CapExceeded(
+                f"{system.pair} {system.scheme.tag} depth {depth}: "
+                f"the tree passes the cap of {cap} nodes at level {level}"
+            )
 
     table = {}
     for kind in system.regions:
@@ -205,7 +201,7 @@ def generate(
     levels = [bytes([_CODE[system.seed]])]
     for n in range(depth):
         nxt = b"".join(map(table.__getitem__, levels[-1]))
-        if len(nxt) != sum(per_level[n + 1]):
+        if len(nxt) != sizes[n + 1]:
             raise AssertionError("expanded level disagrees with the matrix count")
         levels.append(nxt)
     return SpanningTree(system, depth, tuple(levels))

@@ -1,11 +1,18 @@
 """Numeration systems: basis growth, greedy and maximal digit strings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypq import numeration
 from hypq.errors import DigitOutOfRange, Unrepresentable
 from hypq.numeration import (
+    _CACHED_BASES,
+    _feasibility,
+    _Feasibility,
+    _grown_for,
     basis,
     decode,
     enumerate_language,
@@ -15,6 +22,8 @@ from hypq.numeration import (
     represent_maximal,
 )
 from hypq.schlafli import Scheme, validate
+from hypq.spectral import analyze
+from hypq.verify import _desk_cases
 
 FIVE_FOUR = basis(validate(5, 4), Scheme.EVEN_Q, 8)
 FIVE_SEVEN = basis(validate(5, 7), Scheme.ODD_V1, 8)
@@ -159,3 +168,167 @@ def test_representation_is_injective(a, b):
     ra = represent_maximal(a, FIVE_FOUR).digits
     rb = represent_maximal(b, FIVE_FOUR).digits
     assert (ra == rb) == (a == b)
+
+
+# ------------------------------------------- interval lemma and its oracle
+
+
+class _MemoOnly:
+    """The memoized feasibility search with no interval shortcut: the
+    reference the closed-form path must agree with."""
+
+    def __init__(self, terms, bound):
+        self.terms = terms
+        self.bound = bound
+        self.max_sum = [0]
+        for t in terms:
+            self.max_sum.append(self.max_sum[-1] + bound * t)
+        self.memo = {}
+
+    def can(self, k, r):
+        if r == 0:
+            return True
+        if k <= 0 or r < 0 or r > self.max_sum[k]:
+            return False
+        key = (k, r)
+        hit = self.memo.get(key)
+        if hit is None:
+            t = self.terms[k - 1]
+            hit = any(
+                self.can(k - 1, r - d * t) for d in range(min(self.bound, r // t) + 1)
+            )
+            self.memo[key] = hit
+        return hit
+
+
+def _memo_only_maximal(value, seq, bound=None):
+    """Longest, then lexicographically least, digit string; None if none."""
+    bound = seq.digit_bound if bound is None else bound
+    if value == 0:
+        return (0,)
+    while seq.terms[-1] <= value:
+        seq = grow(seq, len(seq.terms) + len(seq.coefficients))
+    feas = _MemoOnly(seq.terms, bound)
+    terms = seq.terms
+    k_max = max(i + 1 for i, t in enumerate(terms) if t <= value)
+    for length in range(k_max, 0, -1):
+        t = terms[length - 1]
+        if any(
+            feas.can(length - 1, value - d * t)
+            for d in range(1, min(bound, value // t) + 1)
+        ):
+            break
+    else:
+        return None
+    digits, r = [], value
+    for pos in range(length, 0, -1):
+        t = terms[pos - 1]
+        lo = 1 if pos == length else 0
+        d = next(
+            d for d in range(lo, min(bound, r // t) + 1) if feas.can(pos - 1, r - d * t)
+        )
+        digits.append(d)
+        r -= d * t
+    return tuple(digits)
+
+
+def _maximal_or_none(value, seq, bound=None):
+    try:
+        return represent_maximal(value, seq, bound).digits
+    except Unrepresentable:
+        return None
+
+
+ORACLE_CASES = [
+    ((5, 4), Scheme.EVEN_Q),
+    ((8, 6), Scheme.EVEN_Q),
+    ((5, 7), Scheme.ODD_V1),
+    ((5, 7), Scheme.ODD_V2),
+    ((12, 13), Scheme.ODD_V1),
+    ((4, 5), Scheme.ODD_V1),
+    ((4, 5), Scheme.ODD_V2),
+]
+
+
+def _interval(pair, scheme, n=80):
+    seq = basis(pair, scheme, n)
+    return _Feasibility(seq.terms, seq.digit_bound).interval
+
+
+def test_interval_condition_on_the_desk_cases():
+    regular = 0
+    for pair, scheme in _desk_cases():
+        if analyze(pair, scheme).regular:
+            assert _interval(pair, scheme) == 80, (pair, scheme)
+            regular += 1
+    assert regular == 132
+    # {4,5}, first variant: 1, 3, ... with digits 0..1 fails at the second
+    # term (3 > 1 + 1*1); the second, 2^k - 1 with digits 0..2, meets it
+    assert _interval(validate(4, 5), Scheme.ODD_V1) == 1
+    assert _interval(validate(4, 5), Scheme.ODD_V2) == 80
+
+
+def test_feasibility_matches_reachable_sets():
+    # the lemma inside the prefix, the memo above it: both against the
+    # reachable sets built by brute force
+    for seq, bound in [
+        (FIVE_FOUR, 2),
+        (FIVE_FOUR, 1),
+        (basis(validate(4, 5), Scheme.ODD_V1, 8), 1),
+    ]:
+        feas = _Feasibility(seq.terms[:7], bound)
+        reach = {0}
+        for k, t in enumerate(seq.terms[:7], 1):
+            reach = {v + d * t for v in reach for d in range(bound + 1)}
+            top = feas.max_sum[k]
+            assert {r for r in range(-1, top + 2) if feas.can(k, r)} == reach
+            if k <= feas.interval:
+                assert reach == set(range(top + 1))
+
+
+def test_maximal_equals_the_memo_only_oracle():
+    rng = random.Random(20261017)
+    huge = [rng.randrange(10**20, 10**30) for _ in range(60)]
+    for (p, q), scheme in ORACLE_CASES:
+        seq = basis(validate(p, q), scheme, 8)
+        for value in [*range(3001), *huge]:
+            assert _maximal_or_none(value, seq) == _memo_only_maximal(value, seq), (
+                p, q, scheme, value,
+            )
+    # an explicit bound leaves the prefix early: 3 > 1 + 1*1 over 1, 3, 8, ...
+    for value in [*range(3001), *huge[:10]]:
+        assert _maximal_or_none(value, FIVE_FOUR, 1) == _memo_only_maximal(
+            value, FIVE_FOUR, 1
+        ), value
+
+
+def test_golden_ratio_case_agrees_with_exhaustive_survey():
+    for scheme, max_len in [(Scheme.ODD_V1, 12), (Scheme.ODD_V2, 8)]:
+        seq = basis(validate(4, 5), scheme, 8)
+        b = seq.digit_bound
+        best = {decode(ds, seq): ds for ds in enumerate_language(seq, b, max_len)}
+        horizon = grow(seq, max_len + 1).terms[max_len]
+        for value in range(horizon):
+            assert _maximal_or_none(value, seq) == best.get(value), (scheme, value)
+
+
+def test_numeration_cache_stays_bounded(monkeypatch):
+    rng = random.Random(7)
+    seq = basis(validate(12, 13), Scheme.ODD_V1, 8)
+    for _ in range(10**4):
+        represent_maximal(rng.randrange(10**20, 10**30), seq)
+    info = _feasibility.cache_info()
+    assert info.currsize <= info.maxsize == _CACHED_BASES
+    # a basis inside its interval prefix never touches the memo
+    top = _grown_for(seq, 10**30).terms
+    assert _feasibility(top, seq.digit_bound).memo == {}
+
+    # past the prefix the memo is capped, and answers survive its reset
+    golden = basis(validate(4, 5), Scheme.ODD_V1, 8)
+    _feasibility.cache_clear()
+    monkeypatch.setattr(numeration, "_MEMO_LIMIT", 50)
+    for value in range(1001):
+        assert _maximal_or_none(value, golden) == _memo_only_maximal(value, golden)
+    memo = _feasibility(_grown_for(golden, 1000).terms, 1).memo
+    assert 0 < len(memo) <= 50
+    _feasibility.cache_clear()

@@ -1,6 +1,7 @@
 """Report serialization and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -163,7 +164,21 @@ def test_cli_tree_requires_a_scheme_for_odd_q(capsys):
 def test_cli_tree_node_cap_flag(capsys):
     args = ["tree", "-p", "5", "-q", "4", "--depth", "6", "--node-cap", "100"]
     assert main(args) == 3
-    assert "609 nodes exceed the cap of 100" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "depth 6: the tree passes the cap of 100 nodes at level 5" in err
+
+
+def test_cli_tree_refuses_any_depth_at_once(capsys, monkeypatch):
+    # the refusal stops at the first level past the cap instead of sizing
+    # a 200000-level tree, whose node count has ~83000 decimal digits
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    args = ["tree", "-p", "5", "-q", "4", "--depth", "200000"]
+    start = time.perf_counter()
+    assert main(args) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "depth 200000" in err
+    assert "cap of 10000000 nodes" in err
 
 
 def test_cli_tree_env_cap_and_flag_override(capsys, monkeypatch):
