@@ -19,8 +19,6 @@ from .disc import (
 )
 from .dual import (
     BijectionReport,
-    Color,
-    FibNode,
     check_bijection,
     fibonacci_tree,
     pentagrid_sector,
@@ -56,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSequence",
     "BijectionReport",
-    "Color",
-    "FibNode",
     "Geodesic",
     "HypqError",
     "Isometry",

@@ -8,7 +8,15 @@ line of the head tile's fifth side, both tile-edge lines (q = 4 makes
 every edge line a geodesic of the edge skeleton).  Inside a sector the
 tiles organize into a tree: white tiles carry three sons, black tiles
 two, the leftmost son is always black, and the level counts run
-1, 3, 8, 21, ... -- the same numbers the splitting tree produces.
+1, 3, 8, 21, ...
+
+That tree is the splitting tree of {5,4} read right to left (Margenstern,
+*New tools for cellular automata in the hyperbolic plane*, J.UCS 6(12),
+2000): white nodes are the S0 regions, black nodes the S1 regions, and
+each rule's sons are listed in reverse so that the black son comes
+first.  ``fibonacci_tree`` builds it with the one substitution engine
+of ``tree``, so it is a ``SpanningTree`` with the same ids, cap and
+errors as every other splitting tree.
 
 Sides of a tile are numbered 1..5 counter-clockwise starting at the
 side shared with the father.  Sons sit across sides 2,3,4 of a white
@@ -32,75 +40,29 @@ p - 2 sons at white tiles and p - 3 at black ones.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, replace
 
 from .disc import GEOM_TOL, Geodesic, Tile, geodesic_through
 from .errors import InsufficientTessellationDepth, NoFatherEdge
-from .schlafli import SchlafliPair, validate
+from .schlafli import Region, SchlafliPair, Scheme, build_system, validate
 from .tiling import Tessellation, tessellate
+# level_counts is re-exported for counting a Fibonacci tree's levels
+from .tree import SpanningTree, TreeNode, generate, level_counts
 
 
-class Color(Enum):
-    """Node species of the numbering tree."""
+def fibonacci_tree(depth: int, p: int = 5) -> SpanningTree:
+    """The bare numbering tree of {p,4} through the given level.
 
-    BLACK = "black"
-    WHITE = "white"
-
-
-@dataclass(frozen=True)
-class FibNode:
-    """One node of the combinatorial tree.
-
-    Ids are assigned level by level, left to right, starting at 1 for
-    the root; children are listed left to right, the black son first.
+    The root is white; ids run level by level, left to right, from 1 at
+    the root, and every node's black son comes first.  For p = 5 the
+    level sizes are 1, 3, 8, 21, ...  The node cap of ``tree.generate``
+    applies.
     """
-
-    id: int
-    color: Color
-    level: int
-    parent: int | None
-    children: tuple[int, ...] = ()
-
-
-def _sons_of(color: Color, p: int) -> tuple[Color, ...]:
-    count = (p - 2) if color is Color.WHITE else (p - 3)
-    return (Color.BLACK,) + (Color.WHITE,) * (count - 1)
-
-
-def fibonacci_tree(depth: int, p: int = 5) -> dict[int, FibNode]:
-    """The bare tree through the given level, keyed by node id.
-
-    The root is white.  For p = 5 the level sizes are 1, 3, 8, 21, ...,
-    matching the region counts of the {5,4} splitting.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    nodes = {1: FibNode(1, Color.WHITE, 0, None)}
-    current = [1]
-    next_id = 2
-    for level in range(1, depth + 1):
-        upcoming: list[int] = []
-        for pid in current:
-            parent = nodes[pid]
-            kids: list[int] = []
-            for color in _sons_of(parent.color, p):
-                nodes[next_id] = FibNode(next_id, color, level, pid)
-                kids.append(next_id)
-                upcoming.append(next_id)
-                next_id += 1
-            nodes[pid] = FibNode(
-                pid, parent.color, parent.level, parent.parent, tuple(kids)
-            )
-        current = upcoming
-    return nodes
-
-
-def level_counts(nodes: dict[int, FibNode]) -> list[int]:
-    counts: dict[int, int] = defaultdict(int)
-    for n in nodes.values():
-        counts[n.level] += 1
-    return [counts[i] for i in range(len(counts))]
+    system = build_system(validate(p, 4), Scheme.EVEN_Q)
+    mirrored = tuple(
+        replace(rule, children=rule.children[::-1]) for rule in system.rules
+    )
+    return generate(replace(system, rules=mirrored), depth)
 
 
 # ----------------------------------------------------------------------
@@ -137,11 +99,11 @@ def _junction(tile: Tile, edge_a: int, edge_b: int) -> complex:
     return tile.vertices[shared]
 
 
-def assign_vertex(tile: Tile, father_edge: int, color: Color) -> complex:
+def assign_vertex(tile: Tile, father_edge: int, kind: Region) -> complex:
     """The vertex this node numbers: junction of sides 1,2 for white
-    nodes, of sides 2,3 for black ones."""
+    (S0) nodes, of sides 2,3 for black (S1) ones."""
     sides = side_numbering(tile, father_edge)
-    if color is Color.WHITE:
+    if kind is Region.S0:
         return _junction(tile, sides[0], sides[1])
     return _junction(tile, sides[1], sides[2])
 
@@ -150,13 +112,13 @@ def assign_vertex(tile: Tile, father_edge: int, color: Color) -> complex:
 class SectorNode:
     """A tree node attached to its tile."""
 
-    node: FibNode
+    node: TreeNode
     tile: Tile
     father_edge: int
 
     @property
     def vertex(self) -> complex:
-        return assign_vertex(self.tile, self.father_edge, self.node.color)
+        return assign_vertex(self.tile, self.father_edge, self.node.kind)
 
 
 @dataclass
@@ -183,9 +145,9 @@ class SectorTree:
         return [out[i] for i in range(len(out))]
 
 
-def _son_slots(color: Color, p: int) -> range:
+def _son_slots(kind: Region, p: int) -> range:
     # white: sides 2..p-1, black: sides 3..p-1 (1-based side numbers)
-    return range(2, p) if color is Color.WHITE else range(3, p)
+    return range(2, p) if kind is Region.S0 else range(3, p)
 
 
 def pentagrid_sector(depth: int, p: int = 5) -> SectorTree:
@@ -217,23 +179,19 @@ def pentagrid_sector(depth: int, p: int = 5) -> SectorTree:
     right = head.edge_geodesic(sides[p - 1])
     apex = _junction(head, sides[p - 1], sides[0])
 
-    tree = fibonacci_tree(depth, p)
     sector = SectorTree(pair, tess, central, apex, left, right)
-    sector.nodes[1] = SectorNode(tree[1], head, father_edge)
-
-    for nid in sorted(tree):
-        fib = tree[nid]
-        if not fib.children:
-            continue
-        here = sector.nodes[nid]
-        slots = _son_slots(fib.color, p)
+    placed = {1: (head, father_edge)}
+    for node in fibonacci_tree(depth, p).nodes():
+        here = SectorNode(node, *placed.pop(node.id))
+        sector.nodes[node.id] = here
+        slots = _son_slots(node.kind, p)
         sides = side_numbering(here.tile, here.father_edge)
-        for slot, child_id in zip(slots, fib.children):
+        for slot, child_id in zip(slots, node.children):
             edge = sides[slot - 1]
             son = sector.tessellation.neighbor_across(here.tile, edge)
             if son is None:
                 raise InsufficientTessellationDepth(
-                    f"missing son of node {nid} at level {fib.level}"
+                    f"missing son of node {node.id} at level {node.level}"
                 )
             back = None
             for i in range(son.p):
@@ -241,7 +199,7 @@ def pentagrid_sector(depth: int, p: int = 5) -> SectorTree:
                 if nb is not None and nb.id == here.tile.id:
                     back = i
             assert back is not None
-            sector.nodes[child_id] = SectorNode(tree[child_id], son, back)
+            placed[child_id] = (son, back)
     return sector
 
 
@@ -340,7 +298,7 @@ def check_bijection(depth: int, p: int = 5, tol: float = 1e-9) -> BijectionRepor
 
 
 def dual_scene(depth: int = 3, p: int = 5) -> dict:
-    """Scene showing the numbered sector: tiles shaded by color, node
+    """Scene showing the numbered sector: black (S1) tiles shaded, node
     ids printed at their assigned vertices, delimiting lines in full."""
     sector = pentagrid_sector(depth, p)
     tiles = [{"points": [[v.real, v.imag] for v in sector.central.vertices]}]
@@ -348,7 +306,7 @@ def dual_scene(depth: int = 3, p: int = 5) -> dict:
     for nid in sorted(sector.nodes):
         sn = sector.nodes[nid]
         entry = {"points": [[v.real, v.imag] for v in sn.tile.vertices]}
-        if sn.node.color is Color.BLACK:
+        if sn.node.kind is Region.S1:
             entry["fill"] = "#d9d9d9"
         tiles.append(entry)
         z = sn.vertex

@@ -36,7 +36,7 @@ from itertools import product
 from . import spectral, tree
 from .errors import DigitOutOfRange, NonMonotoneBasis, Unrepresentable
 from .polyint import degree
-from .schlafli import SchlafliPair, Scheme, build_system
+from .schlafli import SchlafliPair, Scheme
 from .tree import recurrence_coefficients
 
 
@@ -85,15 +85,15 @@ def _extend(terms: list[int], coeffs: tuple[int, ...], n: int) -> None:
 
 
 def basis(pair: SchlafliPair, scheme: Scheme, n: int) -> BasisSequence:
-    """First n terms of the numeration basis for a pair and scheme."""
+    """The first max(n, d) terms of the numeration basis for a pair and
+    scheme, d the degree of its polynomial: all d seed terms are kept,
+    since extending the basis needs a full window of the recurrence."""
     if n < 1:
         raise ValueError("need at least one term")
     report = spectral.analyze(pair, scheme)
     d = degree(report.polynomial)
-    system = build_system(pair, scheme)
-    counts = [sum(v) for v in tree.kind_counts(system, d - 1)]
+    terms = [sum(v) for v in tree.kind_counts(report.system, d - 1)]
     coeffs = recurrence_coefficients(report.polynomial)
-    terms = counts[:n]
     _extend(terms, coeffs, n)
     seq = BasisSequence(
         terms=tuple(terms),

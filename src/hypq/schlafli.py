@@ -123,7 +123,6 @@ class SplittingSystem:
     scheme: Scheme
     rules: tuple[SplittingRule, ...]
     seed: Region
-    cover_copies: int
 
     @property
     def regions(self) -> tuple[Region, ...]:
@@ -170,24 +169,29 @@ def _check_rules(system: SplittingSystem) -> None:
             raise AssertionError("fan sizes must add up to the fanned multiplicity")
 
 
+def check_scheme(pair: SchlafliPair, scheme: Scheme) -> None:
+    """The scheme must match the parity of q, and odd schemes need h >= 2."""
+    q_even = pair.q % 2 == 0
+    if scheme is Scheme.EVEN_Q and not q_even:
+        raise SchemeParityMismatch(f"{pair}: scheme {scheme.tag} needs even q")
+    if scheme is not Scheme.EVEN_Q and q_even:
+        raise SchemeParityMismatch(f"{pair}: scheme {scheme.tag} needs odd q")
+    if scheme is not Scheme.EVEN_Q and pair.h < 2:
+        raise UnsupportedCase(f"{pair}: odd schemes need q >= 5")
+
+
 def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
     """Construct the splitting rules for a pair under a scheme.
 
     Even q uses two regions S0, S1.  Odd q offers three schemes: the
     legacy one (same matrix as even q, zig-zag sector walls), a
     three-region variant S0, S0', S1 and a doubled two-region variant
-    S0', S1.  Odd schemes need h >= 2, and every scheme needs p >= 4 for
-    the fan layout to make sense.
+    S0', S1.  Besides check_scheme, every scheme needs p >= 4 for the
+    fan layout to make sense.
     """
-    q_even = pair.q % 2 == 0
-    if scheme is Scheme.EVEN_Q and not q_even:
-        raise SchemeParityMismatch(f"{pair}: scheme {scheme.tag} needs even q")
-    if scheme is not Scheme.EVEN_Q and q_even:
-        raise SchemeParityMismatch(f"{pair}: scheme {scheme.tag} needs odd q")
+    check_scheme(pair, scheme)
     if pair.p < 4:
         raise UnsupportedCase(f"{pair}: the sector splittings need p >= 4")
-    if scheme is not Scheme.EVEN_Q and pair.h < 2:
-        raise UnsupportedCase(f"{pair}: odd schemes need q >= 5")
 
     p, h = pair.p, pair.h
     f = (p - 3) * (h - 1)
@@ -199,7 +203,7 @@ def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
             SplittingRule(Region.S0, ((Region.S0, f), (Region.S1, 1)), head_fans),
             SplittingRule(Region.S1, ((Region.S0, g), (Region.S1, 1)), tail_fans),
         )
-        system = SplittingSystem(pair, scheme, rules, Region.S0, pair.q)
+        system = SplittingSystem(pair, scheme, rules, Region.S0)
     elif scheme is Scheme.ODD_V1:
         head_fans, tail_fans = _fan_blocks(p, h, 1)
         rules = (
@@ -211,7 +215,7 @@ def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
             SplittingRule(Region.S0_PRIME, ((Region.S0, f), (Region.S1, 1)), head_fans),
             SplittingRule(Region.S1, ((Region.S0, g), (Region.S1, 1)), tail_fans),
         )
-        system = SplittingSystem(pair, scheme, rules, Region.S0, pair.q)
+        system = SplittingSystem(pair, scheme, rules, Region.S0)
     elif scheme is Scheme.ODD_V2:
         head_fans, tail_fans = _fan_blocks(p, h, 2)
         rules = (
@@ -220,7 +224,7 @@ def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
             ),
             SplittingRule(Region.S1, ((Region.S0_PRIME, 2 * g), (Region.S1, 1)), tail_fans),
         )
-        system = SplittingSystem(pair, scheme, rules, Region.S0_PRIME, 2 * pair.q)
+        system = SplittingSystem(pair, scheme, rules, Region.S0_PRIME)
     else:  # pragma: no cover - exhaustive enum
         raise AssertionError(scheme)
 

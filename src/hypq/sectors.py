@@ -46,8 +46,8 @@ from .disc import (
     rotation,
     tile_metrics,
 )
-from .errors import SchemeParityMismatch, UnsupportedCase
-from .schlafli import Region, SchlafliPair, Scheme
+from .errors import UnsupportedCase
+from .schlafli import Region, SchlafliPair, Scheme, check_scheme
 
 
 @dataclass(frozen=True)
@@ -143,18 +143,12 @@ def cover_size(pair: SchlafliPair, scheme: Scheme, kind: Region) -> int:
 
 
 def _check_scheme(pair: SchlafliPair, scheme: Scheme, kind: Region) -> None:
-    even = pair.q % 2 == 0
-    if scheme is Scheme.EVEN_Q and not even:
-        raise SchemeParityMismatch(f"{pair}: {scheme.tag} needs even q")
-    if scheme is not Scheme.EVEN_Q and even:
-        raise SchemeParityMismatch(f"{pair}: {scheme.tag} needs odd q")
+    check_scheme(pair, scheme)
     if scheme is Scheme.ODD_LEGACY:
         raise UnsupportedCase(
             "legacy odd regions are bounded by zig-zag lines, not rays; "
             "render them via zigzag_line"
         )
-    if scheme is not Scheme.EVEN_Q and pair.h < 2:
-        raise UnsupportedCase(f"{pair}: mid-point rays need h >= 2")
     if kind is Region.S1:
         raise UnsupportedCase("S1 is the residual region, not a two-ray wedge")
     if scheme is Scheme.EVEN_Q and kind is not Region.S0:

@@ -18,7 +18,7 @@ from itertools import accumulate, islice
 
 from .errors import CapExceeded, TooFewLevels
 from .polyint import degree, normalize
-from .schlafli import REGION_ORDER, Region, SplittingSystem
+from .schlafli import REGION_ORDER, Region, SplittingSystem, splitting_matrix
 
 #: Hard ceiling on total node count; override with the HYPQ_NODE_CAP
 #: environment variable or the explicit cap argument.
@@ -43,18 +43,12 @@ def expand(kind: Region, system: SplittingSystem) -> list[Region]:
 def _level_vectors(system: SplittingSystem):
     """Exact per-kind node counts of levels 0, 1, 2, ..., as the seed row
     times successive matrix powers."""
-    regions = system.regions
-    rows = [
-        tuple(system.rule(parent).multiplicity(child) for child in regions)
-        for parent in regions
-    ]
-    vec = tuple(1 if k is system.seed else 0 for k in regions)
+    matrix = splitting_matrix(system)
+    rows, n = matrix.entries, matrix.order
+    vec = tuple(1 if k is system.seed else 0 for k in matrix.regions)
     while True:
         yield vec
-        vec = tuple(
-            sum(vec[i] * rows[i][j] for i in range(len(regions)))
-            for j in range(len(regions))
-        )
+        vec = tuple(sum(vec[i] * rows[i][j] for i in range(n)) for j in range(n))
 
 
 def kind_counts(system: SplittingSystem, depth: int) -> list[tuple[int, ...]]:

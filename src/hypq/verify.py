@@ -17,7 +17,6 @@ from typing import Callable
 from . import polyint
 from .disc import angle_at, base_tile, hyp_distance
 from .dual import check_bijection, fibonacci_tree
-from .dual import level_counts as fib_level_counts
 from .errors import HypqError
 from .lines import h_midpoint_line, zigzag_line
 from .numeration import basis, decode, grow, represent_maximal
@@ -194,7 +193,7 @@ def check_fibonacci_counts() -> str:
     pair = validate(5, 4)
     system = build_system(pair, Scheme.EVEN_Q)
     splitting = generate(system, depth).level_counts()
-    fib = fib_level_counts(fibonacci_tree(depth))
+    fib = fibonacci_tree(depth).level_counts()
     assert splitting == fib, f"{splitting} != {fib}"
     assert splitting[:6] == [1, 3, 8, 21, 55, 144], splitting[:6]
     return f"equal through depth {depth}: {splitting[:5]}..."

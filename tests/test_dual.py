@@ -1,12 +1,13 @@
 """Dual numbering of the {4,5} grid via its {5,4} pentagrid sectors."""
 
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import pytest
 
 from hypq.disc import base_tile, reflect_tile
 from hypq.dual import (
-    Color,
     check_bijection,
     dual_scene,
     fibonacci_tree,
@@ -14,31 +15,94 @@ from hypq.dual import (
     pentagrid_sector,
     side_numbering,
 )
-from hypq.errors import NoFatherEdge
-from hypq.schlafli import validate
+from hypq.errors import CapExceeded, NoFatherEdge, NotHyperbolic
+from hypq.schlafli import Region, validate
+
+WHITE, BLACK = Region.S0, Region.S1
+
+
+# The former stand-alone engine of the numbering tree, kept as the
+# oracle: a dict of frozen nodes, each parent rebuilt as its sons arrive.
+
+
+class Color(Enum):
+    BLACK = "black"
+    WHITE = "white"
+
+
+@dataclass(frozen=True)
+class FibNode:
+    id: int
+    color: Color
+    level: int
+    parent: int | None
+    children: tuple[int, ...] = ()
+
+
+def _sons_of(color, p):
+    count = (p - 2) if color is Color.WHITE else (p - 3)
+    return (Color.BLACK,) + (Color.WHITE,) * (count - 1)
+
+
+def _oracle_tree(depth, p):
+    nodes = {1: FibNode(1, Color.WHITE, 0, None)}
+    current = [1]
+    next_id = 2
+    for level in range(1, depth + 1):
+        upcoming = []
+        for pid in current:
+            parent = nodes[pid]
+            kids = []
+            for color in _sons_of(parent.color, p):
+                nodes[next_id] = FibNode(next_id, color, level, pid)
+                kids.append(next_id)
+                upcoming.append(next_id)
+                next_id += 1
+            nodes[pid] = FibNode(
+                pid, parent.color, parent.level, parent.parent, tuple(kids)
+            )
+        current = upcoming
+    return nodes
+
+
+_KIND_OF = {Color.WHITE: WHITE, Color.BLACK: BLACK}
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+def test_fibonacci_tree_matches_the_dict_engine(p):
+    for depth in range(7):
+        tree = fibonacci_tree(depth, p)
+        want = _oracle_tree(depth, p)
+        assert tree.size == len(want)
+        for node in tree.nodes():
+            old = want[node.id]
+            assert (node.level, node.parent, node.children) == (
+                old.level, old.parent, old.children,
+            )
+            assert node.kind is _KIND_OF[old.color]
 
 
 def test_fibonacci_tree_counts():
-    nodes = fibonacci_tree(4)
-    assert level_counts(nodes) == [1, 3, 8, 21, 55]
-    root = nodes[1]
-    assert root.color is Color.WHITE
+    tree = fibonacci_tree(4)
+    assert level_counts(tree) == [1, 3, 8, 21, 55]
+    root = tree.node(1)
+    assert root.kind is WHITE
     assert root.parent is None and root.level == 0
 
 
 def test_fibonacci_tree_ids_and_sons():
-    nodes = fibonacci_tree(3)
-    assert sorted(nodes) == list(range(1, 1 + 3 + 8 + 21 + 1))
-    for node in nodes.values():
+    tree = fibonacci_tree(3)
+    assert [n.id for n in tree.nodes()] == list(range(1, 1 + 3 + 8 + 21 + 1))
+    for node in tree.nodes():
         if node.level == 3:
             assert node.children == ()
             continue
-        kids = [nodes[c] for c in node.children]
-        want = 3 if node.color is Color.WHITE else 2
+        kids = [tree.node(c) for c in node.children]
+        want = 3 if node.kind is WHITE else 2
         assert len(kids) == want
         # the single black son comes first, the whites after
-        assert kids[0].color is Color.BLACK
-        assert all(k.color is Color.WHITE for k in kids[1:])
+        assert kids[0].kind is BLACK
+        assert all(k.kind is WHITE for k in kids[1:])
         # breadth-first ids: children are consecutive
         assert [k.id for k in kids] == list(
             range(kids[0].id, kids[0].id + len(kids))
@@ -52,6 +116,17 @@ def test_fibonacci_tree_generalizes_in_p():
     assert level_counts(fibonacci_tree(3, p=7)) == [1, 5, 24, 115]
     with pytest.raises(ValueError):
         fibonacci_tree(-1)
+
+
+def test_fibonacci_tree_guards(monkeypatch):
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        fibonacci_tree(40)
+    assert time.perf_counter() - start < 1.0
+    # {4,4} is Euclidean: there is no pentagrid-like tree to build
+    with pytest.raises(NotHyperbolic):
+        fibonacci_tree(3, p=4)
 
 
 def test_side_numbering_follows_orientation():

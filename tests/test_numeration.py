@@ -44,6 +44,17 @@ def test_basis_input_validation():
         basis(validate(5, 4), Scheme.EVEN_Q, 0)
 
 
+def test_short_basis_keeps_the_seed_and_grows_right():
+    # fewer terms asked than the cubic's degree: the three seed terms stay,
+    # so growing continues the recurrence instead of a truncated window
+    pair = validate(5, 7)
+    short = basis(pair, Scheme.ODD_V1, 2)
+    assert short.terms == (1, 6, 34)
+    assert grow(short, 6).terms == basis(pair, Scheme.ODD_V1, 6).terms
+    assert grow(short, 6).terms == (1, 6, 34, 194, 1106, 6306)
+    assert basis(validate(5, 4), Scheme.EVEN_Q, 1).terms == (1, 3)
+
+
 def test_grow_is_pure_and_consistent():
     longer = grow(FIVE_FOUR, 12)
     assert len(FIVE_FOUR) == 8  # input untouched

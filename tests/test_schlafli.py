@@ -83,7 +83,6 @@ def test_small_p_and_small_h_guards():
 def test_even_scheme_rules_for_5_4():
     system = build_system(validate(5, 4), Scheme.EVEN_Q)
     assert system.seed is Region.S0
-    assert system.cover_copies == 4
     assert system.regions == (Region.S0, Region.S1)
     r0 = system.rule(Region.S0)
     # f = (5-3)(2-1) = 2, g = (5-2)(2-1) - 2 = 1
@@ -97,7 +96,6 @@ def test_even_scheme_rules_for_5_4():
 def test_odd_v1_rules_for_5_7():
     system = build_system(validate(5, 7), Scheme.ODD_V1)
     assert system.seed is Region.S0
-    assert system.cover_copies == 7
     # f = 2*2 = 4, g = 3*2 - 2 = 4
     assert system.rule(Region.S0).children == (
         (Region.S0, 4), (Region.S0_PRIME, 1), (Region.S1, 1),
@@ -111,7 +109,6 @@ def test_odd_v1_rules_for_5_7():
 def test_odd_v2_rules_for_5_7():
     system = build_system(validate(5, 7), Scheme.ODD_V2)
     assert system.seed is Region.S0_PRIME
-    assert system.cover_copies == 14
     assert system.rule(Region.S0_PRIME).children == (
         (Region.S0_PRIME, 8), (Region.S1, 1),
     )
