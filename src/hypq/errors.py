@@ -45,10 +45,6 @@ class DigitOutOfRange(HypqError):
     """A digit lies outside 0..b for the digit bound b."""
 
 
-class IndeterminateModulus(HypqError):
-    """A root modulus is too close to 1 to classify numerically."""
-
-
 class InsufficientTessellationDepth(HypqError):
     """The tessellation is too shallow for the requested construction."""
 

@@ -22,7 +22,7 @@ import cmath
 import math
 from xml.sax.saxutils import escape
 
-from .disc import Tile, geodesic_through, point_at
+from .disc import Tile, base_tile, geodesic_through
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import Region, SchlafliPair, Scheme
 from .sectors import Ray, SectorBoundary, cover
@@ -270,14 +270,8 @@ def midlines_scene(
     Each line is drawn in full, ideal point to ideal point, the walked
     mid-points marked as labels.
     """
-    tess = tessellate(pair, generations)
-    scene = {
-        "tiles": [_tile_entry(t) for t in tess.tiles],
-        "geodesics": [],
-        "sectors": [],
-        "labels": [],
-    }
-    base = tess.tiles[0]
+    scene = tessellation_scene(pair, generations)
+    base = base_tile(pair)
     for i in range(base.p):
         ml = h_midpoint_line(pair, base.edge(i), steps=steps)
         e1, e2 = ml.supporting.ideal_endpoints()
@@ -292,13 +286,7 @@ def zigzag_scene(
     pair: SchlafliPair, generations: int = 3, steps: int = 8
 ) -> dict:
     """Tessellation with one zig-zag edge walk drawn on top."""
-    tess = tessellate(pair, generations)
+    scene = tessellation_scene(pair, generations)
     path = zigzag_line(pair, steps=steps)
-    return {
-        "tiles": [_tile_entry(t) for t in tess.tiles],
-        "geodesics": [
-            {"a": _pt(a), "b": _pt(b)} for a, b in path.edges
-        ],
-        "sectors": [],
-        "labels": [],
-    }
+    scene["geodesics"] = [{"a": _pt(a), "b": _pt(b)} for a, b in path.edges]
+    return scene

@@ -8,10 +8,16 @@ first require stripping factors of X and factors of the form
 
 Exactness matters here: the non-regular cases hinge on a root of
 modulus exactly 1, which floating point alone cannot certify.  Integer
-roots are therefore found by exact trial division, and the modulus of a
-conjugate pair is resolved through the integer constant term of its
-quadratic factor whenever possible.  Only what remains is judged
-numerically, with a safety margin.
+roots are therefore found by exact trial division.  What remains of a
+monic polynomial of degree <= 3 after that deflation has no rational
+root, so it is irreducible over Q, and such a remainder has a root of
+modulus exactly 1 in one case only: a complex pair of a quadratic with
+constant term 1.  (A real root of modulus 1 is rational; an irreducible
+cubic with a unimodular pair z, conj(z) and a real root r has
+|z|^2 * r = r equal to minus its constant term, so r is an integer.)
+The squared modulus of a quadratic remainder's complex pair is its
+integer constant term, so that case is resolved exactly.  Every other
+modulus is judged numerically, with a safety margin.
 """
 
 from __future__ import annotations
@@ -56,21 +62,20 @@ class Root:
     def is_real(self) -> bool:
         return self.value.imag == 0.0
 
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of one polynomial, with the dominant real root singled out."""
+    """All roots of one polynomial, with the dominant real root singled out.
+
+    pair_modulus_sq is the exact squared modulus of a complex pair: set
+    when the remainder after integer deflation is a quadratic with
+    negative discriminant, whose constant term it is.
+    """
 
     roots: tuple[Root, ...]
     beta: float | None
     precision: float
-
-    def real_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.roots if r.is_real)
+    pair_modulus_sq: int | None = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,8 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     Integer roots are found by exact trial division over the divisors of
     the constant term and flagged exact; the remainder is solved in
     closed form and polished with two Newton steps on the original
-    polynomial.
+    polynomial.  A quadratic remainder with a complex pair also yields
+    the pair's exact squared modulus.
     """
     poly = polyint.normalize(poly)
     n = polyint.degree(poly)
@@ -200,8 +206,11 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     if m == 1:
         raise AssertionError("a monic linear factor always has an integer root")
     numeric: list[complex] = []
+    pair_modulus_sq = None
     if m == 2:
         numeric = _quadratic_roots(rest[1], rest[2])
+        if rest[1] * rest[1] - 4 * rest[2] < 0:
+            pair_modulus_sq = rest[2]
     elif m == 3:
         numeric = _cubic_roots(rest[1], rest[2], rest[3])
     for z in numeric:
@@ -213,7 +222,7 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     roots.sort(key=lambda r: (-r.value.real, abs(r.value.imag)))
     reals = [r for r in roots if r.is_real]
     beta = max((r.value.real for r in reals), default=None)
-    return RootSet(tuple(roots), beta, ROOT_PRECISION)
+    return RootSet(tuple(roots), beta, ROOT_PRECISION, pair_modulus_sq)
 
 
 #: The admissible degenerate factors 1 + X + ... + X^m for m = 1, 2.
@@ -244,19 +253,6 @@ def strip_factors(poly: tuple[int, ...]) -> FactorDecomposition:
     return FactorDecomposition(original, x_power, tuple(removed), core)
 
 
-def _resolved_pair_modulus_sq(poly: tuple[int, ...]) -> int | None:
-    """Exact squared modulus of a conjugate pair, when one exists.
-
-    After deflating every integer root, a quadratic remainder with
-    negative discriminant is the minimal factor of the pair, and the
-    squared modulus equals its integer constant term.
-    """
-    _, rest = _integer_roots(poly)
-    if polyint.degree(rest) == 2 and rest[1] * rest[1] - 4 * rest[2] < 0:
-        return rest[2]
-    return None
-
-
 def is_pisot(poly: tuple[int, ...]) -> PisotCertificate:
     """Decide whether the dominant root is a Pisot number.
 
@@ -270,14 +266,16 @@ def is_pisot(poly: tuple[int, ...]) -> PisotCertificate:
     poly = polyint.normalize(poly)
     if polyint.degree(poly) < 1:
         return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
-    rs = find_roots(poly)
+    return _verdict(find_roots(poly))
+
+
+def _verdict(rs: RootSet) -> PisotCertificate:
+    """The Pisot test of is_pisot, read off roots already found."""
     if rs.beta is None:
         return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
 
-    idx = max(
-        (i for i, r in enumerate(rs.roots) if r.is_real),
-        key=lambda i: rs.roots[i].value.real,
-    )
+    # roots run by falling real part, so the first real one is beta
+    idx = next(i for i, r in enumerate(rs.roots) if r.is_real)
     beta_root = rs.roots[idx]
     if beta_root.exact is not None:
         if beta_root.exact <= 1:
@@ -286,7 +284,7 @@ def is_pisot(poly: tuple[int, ...]) -> PisotCertificate:
         reason = REASON_INDETERMINATE if rs.beta > 1.0 - UNIT_MARGIN else REASON_NO_DOMINANT
         return PisotCertificate(False, reason, rs.beta, ())
 
-    pair_mod_sq = _resolved_pair_modulus_sq(poly)
+    pair_mod_sq = rs.pair_modulus_sq
     others: list[tuple[complex, float]] = []
     on_circle = outside = indeterminate = False
     for i, r in enumerate(rs.roots):
@@ -361,32 +359,39 @@ class SpectralReport:
 def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
     """Chain rules -> matrix -> polynomial -> stripping -> verdict.
 
-    regular reflects the Pisot test of the core after stripping; pisot
-    reflects the same test applied to the full polynomial (factors of X
-    count as roots of modulus zero).  digit_bound floors the dominant
-    root of the full polynomial, since that is the root governing the
+    The roots of the core are found once; the certificate, regular,
+    reason, the displayed roots and beta are all read from them.
+
+    pisot is the same test applied to the full polynomial, and it equals
+    regular and not unit_factors.  Proof: the full polynomial's roots are
+    the stripped zeros (modulus 0, inside the disc), the roots of the
+    unit factors X + 1 and X^2 + X + 1 (modulus exactly 1, on the
+    circle) and the roots of the core.  A unit factor therefore puts a
+    non-dominant root on the circle and the full test fails; without
+    one, the full polynomial's dominant root is the core's (it exceeds 1
+    whenever either test can pass) and the only extra roots are zeros,
+    so both tests agree.  For the same reason beta, the core's dominant
+    root, is the full polynomial's whenever it exceeds 1.  digit_bound
+    floors it against the full polynomial, the one governing the
     counting recurrence.
     """
     system = build_system(pair, scheme)
     matrix = splitting_matrix(system)
     poly = characteristic_polynomial(matrix)
     deco = strip_factors(poly)
-    core_cert = is_pisot(deco.core)
-    core_roots = (
+    roots = (
         find_roots(deco.core)
         if polyint.degree(deco.core) >= 1
         else RootSet((), None, ROOT_PRECISION)
     )
-    full_cert = is_pisot(poly)
-
-    full_roots = find_roots(poly)
-    if full_roots.beta is None or full_roots.beta <= 1.0:
+    cert = _verdict(roots)
+    beta = roots.beta
+    if beta is None or beta <= 1.0:
         # e.g. {4,5} under the legacy odd scheme: (X-1)^2, no growth,
         # the splitting never gets off the ground
         raise UnsupportedCase(
             f"{pair} under {scheme.tag}: no dominant root above 1"
         )
-    beta = full_roots.beta
 
     warnings = []
     for rule in system.rules:
@@ -403,12 +408,12 @@ def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
         matrix=matrix,
         polynomial=poly,
         decomposition=deco,
-        roots=core_roots,
-        certificate=core_cert,
+        roots=roots,
+        certificate=cert,
         beta=beta,
-        pisot=full_cert.pisot,
-        regular=core_cert.pisot,
-        reason=core_cert.reason,
+        pisot=cert.pisot and not deco.unit_factors,
+        regular=cert.pisot,
+        reason=cert.reason,
         digit_bound=_floor_dominant(poly, beta),
         warnings=tuple(warnings),
     )

@@ -1,24 +1,39 @@
 """Root finding, factor stripping and the Pisot/regularity verdicts."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypq import polyint
-from hypq.errors import UnsupportedCase
-from hypq.schlafli import Scheme, validate
+from hypq import polyint, spectral
+from hypq.errors import HypqError, UnsupportedCase
+from hypq.report import report_json, report_text
+from hypq.schlafli import (
+    Scheme,
+    build_system,
+    characteristic_polynomial,
+    splitting_matrix,
+    validate,
+)
 from hypq.spectral import (
+    REASON_INDETERMINATE,
     REASON_NO_DOMINANT,
     REASON_NON_PISOT,
     REASON_PISOT,
     REASON_UNIT_ROOT,
+    ROOT_PRECISION,
+    UNIT_MARGIN,
+    PisotCertificate,
+    RootSet,
+    SpectralReport,
     analyze,
     find_roots,
     is_pisot,
     strip_factors,
 )
+from hypq.verify import EVEN_PAIRS, ODD_PAIRS, _desk_cases
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -194,3 +209,192 @@ def test_digit_bound_is_exact_floor():
     assert r.digit_bound == math.floor(r.beta) == 3
     assert polyint.eval_at(r.polynomial, r.digit_bound) <= 0
     assert polyint.eval_at(r.polynomial, r.digit_bound + 1) > 0
+
+
+# ----------------------------------------------------------------------
+# Oracle: the verdict as computed before one root search served the whole
+# analysis.  It finds the roots four times per case and deflates the
+# integer roots twice more to recover the exact modulus of a pair.
+
+
+def _oracle_pair_modulus_sq(poly):
+    _, rest = spectral._integer_roots(poly)
+    if polyint.degree(rest) == 2 and rest[1] * rest[1] - 4 * rest[2] < 0:
+        return rest[2]
+    return None
+
+
+def _oracle_is_pisot(poly):
+    poly = polyint.normalize(poly)
+    if polyint.degree(poly) < 1:
+        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
+    rs = find_roots(poly)
+    if rs.beta is None:
+        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
+
+    idx = max(
+        (i for i, r in enumerate(rs.roots) if r.is_real),
+        key=lambda i: rs.roots[i].value.real,
+    )
+    beta_root = rs.roots[idx]
+    if beta_root.exact is not None:
+        if beta_root.exact <= 1:
+            return PisotCertificate(False, REASON_NO_DOMINANT, rs.beta, ())
+    elif rs.beta <= 1.0 + UNIT_MARGIN:
+        reason = (
+            REASON_INDETERMINATE
+            if rs.beta > 1.0 - UNIT_MARGIN
+            else REASON_NO_DOMINANT
+        )
+        return PisotCertificate(False, reason, rs.beta, ())
+
+    pair_mod_sq = _oracle_pair_modulus_sq(poly)
+    others = []
+    on_circle = outside = indeterminate = False
+    for i, r in enumerate(rs.roots):
+        if i == idx:
+            continue
+        if r.exact is not None:
+            m = float(abs(r.exact))
+            if abs(r.exact) == 1:
+                on_circle = True
+            elif abs(r.exact) > 1:
+                outside = True
+        elif r.value.imag != 0.0 and pair_mod_sq is not None:
+            m = math.sqrt(pair_mod_sq)
+            if pair_mod_sq == 1:
+                on_circle = True
+            elif pair_mod_sq > 1:
+                outside = True
+        else:
+            m = abs(r.value)
+            if m > 1.0 + UNIT_MARGIN:
+                outside = True
+            elif m >= 1.0 - UNIT_MARGIN:
+                indeterminate = True
+        others.append((r.value, m))
+
+    if outside:
+        verdict = (False, REASON_NON_PISOT)
+    elif on_circle:
+        verdict = (False, REASON_UNIT_ROOT)
+    elif indeterminate:
+        verdict = (False, REASON_INDETERMINATE)
+    else:
+        verdict = (True, REASON_PISOT)
+    return PisotCertificate(verdict[0], verdict[1], rs.beta, tuple(others))
+
+
+def _oracle_analyze(pair, scheme):
+    system = build_system(pair, scheme)
+    matrix = splitting_matrix(system)
+    poly = characteristic_polynomial(matrix)
+    deco = strip_factors(poly)
+    core_cert = _oracle_is_pisot(deco.core)
+    core_roots = (
+        find_roots(deco.core)
+        if polyint.degree(deco.core) >= 1
+        else RootSet((), None, ROOT_PRECISION)
+    )
+    full_cert = _oracle_is_pisot(poly)
+
+    full_roots = find_roots(poly)
+    if full_roots.beta is None or full_roots.beta <= 1.0:
+        raise UnsupportedCase(
+            f"{pair} under {scheme.tag}: no dominant root above 1"
+        )
+    beta = full_roots.beta
+
+    warnings = []
+    for rule in system.rules:
+        for kind, mult in rule.children:
+            if mult == 0:
+                warnings.append(
+                    f"rule {rule.parent.label} produces {kind.label} with multiplicity 0"
+                )
+
+    return SpectralReport(
+        pair=pair,
+        scheme=scheme,
+        system=system,
+        matrix=matrix,
+        polynomial=poly,
+        decomposition=deco,
+        roots=core_roots,
+        certificate=core_cert,
+        beta=beta,
+        pisot=full_cert.pisot,
+        regular=core_cert.pisot,
+        reason=core_cert.reason,
+        digit_bound=spectral._floor_dominant(poly, beta),
+        warnings=tuple(warnings),
+    )
+
+
+#: Every monic quadratic and cubic with coefficients in -12..12.
+SMALL_MONIC = [
+    (1,) + rest
+    for degree in (2, 3)
+    for rest in itertools.product(range(-12, 13), repeat=degree)
+]
+
+
+def test_is_pisot_matches_the_oracle_on_small_monic_polynomials():
+    assert len(SMALL_MONIC) == 16250
+    for poly in SMALL_MONIC:
+        assert repr(is_pisot(poly)) == repr(_oracle_is_pisot(poly)), poly
+
+
+def test_full_verdict_is_core_verdict_without_unit_factors():
+    # no splitting polynomial has a unit factor (P(-1) != 0 for all three
+    # closed forms), so only this sweep reaches that branch of analyze
+    with_units = 0
+    for poly in SMALL_MONIC:
+        deco = strip_factors(poly)
+        with_units += bool(deco.unit_factors)
+        assert is_pisot(poly).pisot == (
+            is_pisot(deco.core).pisot and not deco.unit_factors
+        ), poly
+    assert with_units == 516
+
+
+def _outcome(fn, pair, scheme):
+    try:
+        r = fn(pair, scheme)
+    except HypqError as exc:
+        return type(exc).__name__, str(exc)
+    return report_json(r), report_text(r), r.pisot, r.regular, r.reason
+
+
+def test_analyze_matches_the_oracle_on_every_desk_case_and_scheme():
+    compared = unsupported = 0
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        pair = validate(p, q)
+        for scheme in Scheme:
+            want = _outcome(_oracle_analyze, pair, scheme)
+            if want[0] == "SchemeParityMismatch":
+                continue
+            assert _outcome(analyze, pair, scheme) == want, (pair, scheme)
+            compared += 1
+            unsupported += want[0] == "UnsupportedCase"
+    assert compared == 44 + 3 * 45
+    assert unsupported == 1  # {4,5} under the legacy odd scheme
+
+
+def test_analyze_finds_roots_once(monkeypatch):
+    calls = []
+    real = spectral.find_roots
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    def forbidden(poly):
+        raise AssertionError("analyze must not search the roots again")
+
+    monkeypatch.setattr(spectral, "find_roots", counting)
+    monkeypatch.setattr(spectral, "is_pisot", forbidden)
+    for pair, scheme in _desk_cases():
+        calls.clear()
+        r = analyze(pair, scheme)
+        assert calls == [r.decomposition.core], (pair, scheme)
