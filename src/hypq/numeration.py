@@ -20,7 +20,9 @@ Proof, by induction on k: those values are the union over d = 0..b of
 d*t_k + [0, S_{k-1}], and consecutive pieces meet because
 t_k <= S_{k-1} + 1, so the union is [0, b*t_k + S_{k-1}] = [0, S_k].
 Up to the longest prefix that meets the condition, feasibility is
-therefore a range test; above it a memoized search remains.  Every
+therefore a range test; above it a memoized search remains.  Both read
+a table that lives on the basis itself, one per digit bound, with no
+module-level cache: it grows in place and its memo is capped.  Every
 regular case with p <= 12 and q <= 13 meets the condition on its first
 80 terms, and so does the second odd variant of {4,5}; the first odd
 variant of {4,5} fails it at the second term.
@@ -29,9 +31,8 @@ variant of {4,5} fails it at the second term.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from dataclasses import dataclass, field
+from operator import mul
 
 from . import spectral, tree
 from .errors import DigitOutOfRange, NonMonotoneBasis, Unrepresentable
@@ -45,18 +46,31 @@ class BasisSequence:
     """Strictly increasing terms t_1 < t_2 < ... driving the numeration.
 
     The first degree-many terms are the spanning-tree level counts; the
-    recurrence read off the splitting polynomial extends them.  origin
-    records that choice, since other solutions of the same recurrence
-    would be equally conceivable.
+    recurrence read off the splitting polynomial extends them.  Other
+    solutions of the same recurrence would be equally conceivable.
+
+    The search state (one _Table per digit bound) hangs off the basis,
+    outside its constructor, equality and repr: it is made on first use
+    and grows in place, so a basis applies its recurrence once per term.
     """
 
     terms: tuple[int, ...]
     coefficients: tuple[int, ...]
     digit_bound: int
-    origin: str
+    _tables: dict[int, _Table] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def _table(self, bound: int | None = None) -> _Table:
+        """The search state under a digit bound, the basis's own by default."""
+        bound = self.digit_bound if bound is None else bound
+        table = self._tables.get(bound)
+        if table is None:
+            table = self._tables[bound] = _Table(self.terms, self.coefficients, bound)
+        return table
 
 
 @dataclass(frozen=True)
@@ -70,127 +84,57 @@ class Representation:
         return " ".join(str(d) for d in self.digits)
 
 
-def _check_increasing(terms: tuple[int, ...]) -> None:
-    for a, b in zip(terms, terms[1:]):
-        if b <= a:
-            raise NonMonotoneBasis(
-                f"basis stalls at {a} -> {b}; the level-count seed is unusable here"
-            )
-
-
-def _extend(terms: list[int], coeffs: tuple[int, ...], n: int) -> None:
-    d = len(coeffs)
-    while len(terms) < n:
-        terms.append(sum(c * t for c, t in zip(coeffs, terms[-d:])))
-
-
-def basis(pair: SchlafliPair, scheme: Scheme, n: int) -> BasisSequence:
-    """The first max(n, d) terms of the numeration basis for a pair and
-    scheme, d the degree of its polynomial: all d seed terms are kept,
-    since extending the basis needs a full window of the recurrence."""
-    if n < 1:
-        raise ValueError("need at least one term")
-    report = spectral.analyze(pair, scheme)
-    d = degree(report.polynomial)
-    terms = [sum(v) for v in tree.kind_counts(report.system, d - 1)]
-    coeffs = recurrence_coefficients(report.polynomial)
-    _extend(terms, coeffs, n)
-    seq = BasisSequence(
-        terms=tuple(terms),
-        coefficients=coeffs,
-        digit_bound=report.digit_bound,
-        origin="spanning-tree level counts u_0..u_{d-1}, then the recurrence",
-    )
-    _check_increasing(seq.terms)
-    return seq
-
-
-def grow(seq: BasisSequence, n: int) -> BasisSequence:
-    """A copy of the basis with at least n terms (by-value, input untouched)."""
-    if n <= len(seq.terms):
-        return seq
-    terms = list(seq.terms)
-    _extend(terms, seq.coefficients, n)
-    out = BasisSequence(tuple(terms), seq.coefficients, seq.digit_bound, seq.origin)
-    _check_increasing(out.terms)
-    return out
-
-
-def _grown_for(seq: BasisSequence, value: int) -> BasisSequence:
-    """The basis extended, in one pass, until its last term exceeds value."""
-    if seq.terms[-1] > value:
-        return seq
-    terms = list(seq.terms)
-    coeffs = seq.coefficients
-    d = len(coeffs)
-    while terms[-1] <= value:
-        terms.append(sum(c * t for c, t in zip(coeffs, terms[-d:])))
-        _check_increasing(terms[-2:])
-    return BasisSequence(tuple(terms), coeffs, seq.digit_bound, seq.origin)
-
-
-def decode(digits, seq: BasisSequence) -> int:
-    """Exact value of a digit string over the basis."""
-    digits = tuple(digits)
-    for d in digits:
-        if not 0 <= d <= seq.digit_bound:
-            raise DigitOutOfRange(f"digit {d} outside 0..{seq.digit_bound}")
-    seq = grow(seq, len(digits))
-    weights = seq.terms[: len(digits)][::-1]
-    return sum(d * t for d, t in zip(digits, weights))
-
-
-def represent_greedy(value: int, seq: BasisSequence) -> Representation:
-    """Largest term first, largest admissible digit at each term.
-
-    Greedy is not complete for every basis and bound; a remainder that
-    cannot be cleared raises Unrepresentable instead of bending a digit.
-    """
-    if value < 0:
-        raise ValueError("value must be >= 0")
-    if value == 0:
-        return Representation((0,), 0)
-    seq = _grown_for(seq, value)
-    b = seq.digit_bound
-    k = bisect_right(seq.terms, value) - 1
-    digits = []
-    r = value
-    for pos in range(k, -1, -1):
-        d = min(b, r // seq.terms[pos])
-        digits.append(d)
-        r -= d * seq.terms[pos]
-    if r != 0:
-        raise Unrepresentable(f"greedy leaves remainder {r} for value {value}")
-    return Representation(tuple(digits), value)
-
-
-#: Bounds on the cached search state: at most _CACHED_BASES bases keep a
-#: feasibility table, and a table's memo is dropped once it holds
-#: _MEMO_LIMIT entries (only bases past their interval prefix fill it).
-_CACHED_BASES = 16
+#: A table's memo is dropped once it holds _MEMO_LIMIT entries; only
+#: bases past their interval prefix fill it.
 _MEMO_LIMIT = 1 << 15
 
 
-class _Feasibility:
-    """Can a remainder be written with the first k terms and digits 0..bound?
+class _Table:
+    """Terms, prefix sums and feasibility of a basis under one digit bound.
 
+    Can a remainder be written with the first k terms and digits 0..bound?
     For k up to ``interval``, the longest prefix of terms meeting the
     completeness condition, the answer is 0 <= r <= max_sum[k]; above it
-    the answer is searched digit by digit and memoized.
+    the answer is searched digit by digit and memoized.  Terms only ever
+    join at the end, so no prefix, sum, interval or memo entry changes.
     """
 
-    def __init__(self, terms: tuple[int, ...], bound: int):
-        self.terms = terms
+    def __init__(self, seed: tuple[int, ...], coefficients: tuple[int, ...], bound: int):
+        self.coefficients = coefficients
         self.bound = bound
-        sums = [0]
-        interval = 0
-        for k, t in enumerate(terms, 1):
-            if interval == k - 1 and t <= sums[-1] + 1:
-                interval = k
-            sums.append(sums[-1] + bound * t)
-        self.max_sum = sums
-        self.interval = interval
+        self.terms: list[int] = []
+        self.max_sum = [0]
+        self.interval = 0
         self.memo: dict[tuple[int, int], bool] = {}
+        for t in seed:
+            self.append(t)
+
+    def append(self, t: int | None = None) -> None:
+        """Add the term t, by default the next one of the recurrence."""
+        terms = self.terms
+        if t is None:
+            window = terms[-len(self.coefficients) :]
+            t = sum(c * u for c, u in zip(self.coefficients, window))
+        if terms and t <= terms[-1]:
+            raise NonMonotoneBasis(
+                f"basis stalls at {terms[-1]} -> {t}; the level-count seed is unusable here"
+            )
+        if self.interval == len(terms) and t <= self.max_sum[-1] + 1:
+            self.interval += 1
+        terms.append(t)
+        self.max_sum.append(self.max_sum[-1] + self.bound * t)
+
+    def grow_to(self, n: int) -> list[int]:
+        """The terms, extended to at least n of them."""
+        while len(self.terms) < n:
+            self.append()
+        return self.terms
+
+    def grow_past(self, value: int) -> list[int]:
+        """The terms, extended until the last one exceeds value."""
+        while self.terms[-1] <= value:
+            self.append()
+        return self.terms
 
     def can(self, k: int, r: int) -> bool:
         if k <= self.interval:
@@ -223,9 +167,65 @@ class _Feasibility:
         return None
 
 
-@lru_cache(maxsize=_CACHED_BASES)
-def _feasibility(terms: tuple[int, ...], bound: int) -> _Feasibility:
-    return _Feasibility(terms, bound)
+def basis(pair: SchlafliPair, scheme: Scheme, n: int) -> BasisSequence:
+    """The first max(n, d) terms of the numeration basis for a pair and
+    scheme, d the degree of its polynomial: all d seed terms are kept,
+    since extending the basis needs a full window of the recurrence."""
+    if n < 1:
+        raise ValueError("need at least one term")
+    report = spectral.analyze(pair, scheme)
+    d = degree(report.polynomial)
+    seed = tuple(sum(v) for v in tree.kind_counts(report.system, d - 1))
+    coeffs = recurrence_coefficients(report.polynomial)
+    return grow(BasisSequence(seed, coeffs, report.digit_bound), n)
+
+
+def grow(seq: BasisSequence, n: int) -> BasisSequence:
+    """A copy of the basis with at least n terms (by-value, input untouched).
+
+    The copy shares the input's search state, which holds the same terms.
+    """
+    terms = seq._table().grow_to(n)
+    if n <= len(seq.terms):
+        return seq
+    out = BasisSequence(tuple(terms[:n]), seq.coefficients, seq.digit_bound)
+    object.__setattr__(out, "_tables", seq._tables)
+    return out
+
+
+def decode(digits, seq: BasisSequence) -> int:
+    """Exact value of a digit string over the basis."""
+    digits = tuple(digits)
+    b = seq.digit_bound
+    if digits and (min(digits) < 0 or max(digits) > b):
+        bad = next(d for d in digits if not 0 <= d <= b)
+        raise DigitOutOfRange(f"digit {bad} outside 0..{b}")
+    terms = seq._table().grow_to(len(digits))
+    return sum(map(mul, reversed(digits), terms))
+
+
+def represent_greedy(value: int, seq: BasisSequence) -> Representation:
+    """Largest term first, largest admissible digit at each term.
+
+    Greedy is not complete for every basis and bound; a remainder that
+    cannot be cleared raises Unrepresentable instead of bending a digit.
+    """
+    if value < 0:
+        raise ValueError("value must be >= 0")
+    if value == 0:
+        return Representation((0,), 0)
+    terms = seq._table().grow_past(value)
+    b = seq.digit_bound
+    k = bisect_right(terms, value) - 1
+    digits = []
+    r = value
+    for pos in range(k, -1, -1):
+        d = min(b, r // terms[pos])
+        digits.append(d)
+        r -= d * terms[pos]
+    if r != 0:
+        raise Unrepresentable(f"greedy leaves remainder {r} for value {value}")
+    return Representation(tuple(digits), value)
 
 
 def represent_maximal(
@@ -250,9 +250,8 @@ def represent_maximal(
         return Representation((0,), 0)
     if bound < 1:
         raise Unrepresentable("digit bound below 1 admits only zero")
-    seq = _grown_for(seq, value)
-    terms = seq.terms
-    feas = _feasibility(terms, bound)
+    feas = seq._table(bound)
+    terms = feas.grow_past(value)
 
     for length in range(bisect_right(terms, value), 0, -1):
         lead = feas.least_digit(length, value, 1)
@@ -282,12 +281,9 @@ def enumerate_language(
     Exhaustive over all digit strings of length <= max_len, so it serves
     as the brute-force oracle for represent_maximal at small sizes.
     """
-    if max_len < 1 or max_len > 12:
-        raise ValueError("max_len must be within 1..12")
-    best = _survey(seq, bound, max_len)
     language = {(0,)}
-    for reps in best.values():
-        language.add(min(reps))
+    for reps in _survey(seq, bound, max_len).values():
+        language.add(reps[0])
     return sorted(language, key=lambda ds: (len(ds), ds))
 
 
@@ -301,26 +297,44 @@ def find_maximal_ties(
     exists because such values occur.
     """
     best = _survey(seq, bound, max_len)
-    return {v: sorted(reps) for v, reps in sorted(best.items()) if len(reps) > 1}
+    return {v: reps for v, reps in sorted(best.items()) if len(reps) > 1}
 
 
 def _survey(
-    seq: BasisSequence, bound: int, max_len: int
+    seq: BasisSequence, bound: int, max_len: int, limit: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
-    """value -> all of its maximal-length digit strings within max_len."""
-    seq = grow(seq, max_len)
-    weights = seq.terms[:max_len]
-    best: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
+    """value -> all of its longest digit strings within max_len digits,
+    in lexicographic order; with a limit, only values up to it.
+
+    Brute force: a depth-first walk over the strings of each length,
+    leading digit nonzero, most significant digit first and digits in
+    increasing order, which is why each list comes out sorted.  A branch
+    stops at the first digit that takes its value past the limit.
+    """
+    if max_len < 1 or max_len > 12:
+        raise ValueError("max_len must be within 1..12")
+    terms = seq._table().grow_to(max_len)
+    if limit is None:
+        limit = bound * sum(terms[:max_len])
+    best: dict[int, list[tuple[int, ...]]] = {}
+    digits: list[int] = []
+
+    def walk(pos: int, acc: int, length: int) -> None:
+        for d in range(1 if pos == length - 1 else 0, bound + 1):
+            val = acc + d * terms[pos]
+            if val > limit:
+                break
+            digits.append(d)
+            if pos:
+                walk(pos - 1, val, length)
+            else:
+                reps = best.get(val)
+                if reps is None or len(reps[0]) < length:
+                    best[val] = [tuple(digits)]
+                else:
+                    reps.append(tuple(digits))
+            digits.pop()
+
     for length in range(1, max_len + 1):
-        for head in range(1, bound + 1):
-            for rest in product(range(bound + 1), repeat=length - 1):
-                digits = (head, *rest)
-                value = sum(
-                    d * t for d, t in zip(digits, weights[length - 1 :: -1])
-                )
-                entry = best.get(value)
-                if entry is None or entry[0] < length:
-                    best[value] = (length, [digits])
-                elif entry[0] == length:
-                    entry[1].append(digits)
-    return {v: reps for v, (_, reps) in best.items()}
+        walk(length - 1, 0, length)
+    return best

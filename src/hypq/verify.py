@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +20,7 @@ from .disc import angle_at, base_tile, hyp_distance
 from .dual import check_bijection, fibonacci_tree
 from .errors import HypqError
 from .lines import h_midpoint_line, zigzag_line
-from .numeration import basis, decode, grow, represent_maximal
+from .numeration import _survey, basis, decode, grow, represent_maximal
 from .render import midlines_scene, render_svg
 from .report import report_json
 from .schlafli import (
@@ -199,36 +200,6 @@ def check_fibonacci_counts() -> str:
     return f"equal through depth {depth}: {splitting[:5]}..."
 
 
-def _brute_longest(seq, bound: int, limit: int) -> dict[int, int]:
-    """Length of the longest digit string per value, by full enumeration.
-
-    Leading digits are nonzero, so the string length is capped by the
-    index of the largest basis term not exceeding the limit.
-    """
-    seq = grow(seq, 4)
-    while seq.terms[-1] <= limit:
-        seq = grow(seq, len(seq.terms) + 1)
-    terms = seq.terms
-    max_len = max(i + 1 for i, t in enumerate(terms) if t <= limit)
-    best: dict[int, int] = {}
-
-    def walk(pos: int, acc: int, length: int) -> None:
-        lo = 1 if pos == length - 1 else 0
-        for d in range(lo, bound + 1):
-            val = acc + d * terms[pos]
-            if val > limit:
-                break
-            if pos == 0:
-                if length > best.get(val, 0):
-                    best[val] = length
-            else:
-                walk(pos - 1, val, length)
-
-    for length in range(1, max_len + 1):
-        walk(length - 1, 0, length)
-    return best
-
-
 @_check("numeration round-trip and maximality")
 def check_numeration() -> str:
     cases = 0
@@ -239,19 +210,20 @@ def check_numeration() -> str:
         seq = basis(pair, scheme, 8)
         b = rep.digit_bound
         assert seq.digit_bound == b
-        lengths = []
+        small = []
         for v in range(10001):
             r = represent_maximal(v, seq)
             assert decode(r.digits, seq) == v, f"{pair} {scheme.tag}: {v}"
             assert all(0 <= d <= b for d in r.digits)
             if v <= 2000:
-                lengths.append(len(r.digits))
-        brute = _brute_longest(seq, b, 2000)
+                small.append(r.digits)
+        # a string of a value <= 2000 has at most this many digits
+        horizon = bisect_right(grow(seq, 13).terms, 2000)
+        brute = _survey(seq, b, horizon, 2000)
         for v in range(1, 2001):
-            want = brute.get(v)
-            got = lengths[v]
-            assert got == want, (
-                f"{pair} {scheme.tag}: value {v} maximal length {got}, "
+            want = brute[v][0] if v in brute else None
+            assert small[v] == want, (
+                f"{pair} {scheme.tag}: value {v} maximal string {small[v]}, "
                 f"brute force says {want}"
             )
         cases += 1

@@ -1,6 +1,10 @@
 """Numeration systems: basis growth, greedy and maximal digit strings."""
 
+import functools
 import random
+import time
+from bisect import bisect_right
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +13,8 @@ from hypothesis import strategies as st
 from hypq import numeration
 from hypq.errors import DigitOutOfRange, Unrepresentable
 from hypq.numeration import (
-    _CACHED_BASES,
-    _feasibility,
-    _Feasibility,
-    _grown_for,
+    _survey,
+    _Table,
     basis,
     decode,
     enumerate_language,
@@ -63,6 +65,12 @@ def test_grow_is_pure_and_consistent():
     for a, b, c in zip(longer.terms, longer.terms[1:], longer.terms[2:]):
         assert c == 3 * b - a
     assert grow(FIVE_FOUR, 3) is FIVE_FOUR
+    # the search state stays out of the value
+    assert longer == grow(basis(validate(5, 4), Scheme.EVEN_Q, 8), 12)
+    assert repr(FIVE_FOUR) == (
+        "BasisSequence(terms=(1, 3, 8, 21, 55, 144, 377, 987), "
+        "coefficients=(-1, 3), digit_bound=2)"
+    )
 
 
 def test_decode_checks_digits():
@@ -70,8 +78,11 @@ def test_decode_checks_digits():
     assert decode((0,), FIVE_FOUR) == 0
     with pytest.raises(DigitOutOfRange):
         decode((3, 0), FIVE_FOUR)
-    with pytest.raises(DigitOutOfRange):
-        decode((-1,), FIVE_FOUR)
+    with pytest.raises(DigitOutOfRange, match="digit -1 outside 0..2"):
+        decode((1, -1, 3), FIVE_FOUR)
+    with pytest.raises(DigitOutOfRange, match="digit 3 outside 0..2"):
+        decode((1, 3, -1), FIVE_FOUR)
+    assert decode((), FIVE_FOUR) == 0
     # longer strings than the stored basis grow it on the fly
     assert decode((1,) + (0,) * 9, FIVE_FOUR) == grow(FIVE_FOUR, 10).terms[9]
 
@@ -161,6 +172,15 @@ def test_enumerate_language_guard():
         enumerate_language(FIVE_FOUR, 2, 0)
     with pytest.raises(ValueError):
         enumerate_language(FIVE_FOUR, 2, 13)
+
+
+def test_find_maximal_ties_refuses_before_the_work():
+    # 13 digits would take seconds; the guard answers at once
+    for max_len in (0, 13):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            find_maximal_ties(basis(validate(5, 4), Scheme.EVEN_Q, 8), 2, max_len)
+        assert time.perf_counter() - t0 < 1.0
 
 
 @settings(max_examples=60)
@@ -263,7 +283,7 @@ ORACLE_CASES = [
 
 def _interval(pair, scheme, n=80):
     seq = basis(pair, scheme, n)
-    return _Feasibility(seq.terms, seq.digit_bound).interval
+    return _Table(seq.terms, seq.coefficients, seq.digit_bound).interval
 
 
 def test_interval_condition_on_the_desk_cases():
@@ -287,7 +307,7 @@ def test_feasibility_matches_reachable_sets():
         (FIVE_FOUR, 1),
         (basis(validate(4, 5), Scheme.ODD_V1, 8), 1),
     ]:
-        feas = _Feasibility(seq.terms[:7], bound)
+        feas = _Table(seq.terms[:7], seq.coefficients, bound)
         reach = {0}
         for k, t in enumerate(seq.terms[:7], 1):
             reach = {v + d * t for v in reach for d in range(bound + 1)}
@@ -324,22 +344,119 @@ def test_golden_ratio_case_agrees_with_exhaustive_survey():
 
 
 def test_numeration_cache_stays_bounded(monkeypatch):
+    # no module-level cache: the search state lives on each basis
+    assert not any(
+        isinstance(obj, functools._lru_cache_wrapper) for obj in vars(numeration).values()
+    )
+
+    # many huge values grow one term list once, each term appended once,
+    # to the first term past the largest value
+    appended = []
+    append = _Table.append
+    monkeypatch.setattr(
+        _Table, "append", lambda self, t=None: appended.append(t) or append(self, t)
+    )
     rng = random.Random(7)
     seq = basis(validate(12, 13), Scheme.ODD_V1, 8)
-    for _ in range(10**4):
-        represent_maximal(rng.randrange(10**20, 10**30), seq)
-    info = _feasibility.cache_info()
-    assert info.currsize <= info.maxsize == _CACHED_BASES
+    table = seq._table()
+    appended.clear()
+    values = [rng.randrange(10**20, 10**30) for _ in range(10**4)]
+    for value in values:
+        represent_maximal(value, seq)
+    assert seq._tables == {seq.digit_bound: table}
+    assert len(seq.terms) == 8
+    terms = table.terms
+    assert len(terms) == bisect_right(terms, max(values)) + 1
+    assert len(appended) == len(terms) - 8
     # a basis inside its interval prefix never touches the memo
-    top = _grown_for(seq, 10**30).terms
-    assert _feasibility(top, seq.digit_bound).memo == {}
+    assert table.memo == {}
 
     # past the prefix the memo is capped, and answers survive its reset
     golden = basis(validate(4, 5), Scheme.ODD_V1, 8)
-    _feasibility.cache_clear()
     monkeypatch.setattr(numeration, "_MEMO_LIMIT", 50)
     for value in range(1001):
         assert _maximal_or_none(value, golden) == _memo_only_maximal(value, golden)
-    memo = _feasibility(_grown_for(golden, 1000).terms, 1).memo
-    assert 0 < len(memo) <= 50
-    _feasibility.cache_clear()
+    assert 0 < len(golden._table().memo) <= 50
+
+
+# ------------------------------------------- the brute-force survey and its oracles
+
+
+def _product_survey(seq, bound, max_len):
+    """value -> all of its longest digit strings within max_len, by
+    itertools.product over every string."""
+    weights = grow(seq, max_len).terms[:max_len]
+    best = {}
+    for length in range(1, max_len + 1):
+        for head in range(1, bound + 1):
+            for rest in product(range(bound + 1), repeat=length - 1):
+                digits = (head, *rest)
+                value = sum(d * t for d, t in zip(digits, weights[length - 1 :: -1]))
+                entry = best.get(value)
+                if entry is None or entry[0] < length:
+                    best[value] = (length, [digits])
+                elif entry[0] == length:
+                    entry[1].append(digits)
+    return {v: reps for v, (_, reps) in best.items()}
+
+
+def _brute_longest(seq, bound, limit):
+    """Length of the longest digit string per value up to limit, by a
+    depth-first walk that stops at the first digit past the limit."""
+    seq = grow(seq, 4)
+    while seq.terms[-1] <= limit:
+        seq = grow(seq, len(seq.terms) + 1)
+    terms = seq.terms
+    max_len = max(i + 1 for i, t in enumerate(terms) if t <= limit)
+    best = {}
+
+    def walk(pos, acc, length):
+        lo = 1 if pos == length - 1 else 0
+        for d in range(lo, bound + 1):
+            val = acc + d * terms[pos]
+            if val > limit:
+                break
+            if pos == 0:
+                if length > best.get(val, 0):
+                    best[val] = length
+            else:
+                walk(pos - 1, val, length)
+
+    for length in range(1, max_len + 1):
+        walk(length - 1, 0, length)
+    return best
+
+
+SURVEY_CASES = [
+    (basis(validate(4, 5), Scheme.ODD_V1, 8), 1, 12),
+    (basis(validate(4, 5), Scheme.ODD_V2, 8), 2, 8),
+    (FIVE_FOUR, 1, 10),
+    (FIVE_FOUR, 2, 8),
+]
+SURVEY_IDS = ["4,5-odd-v1", "4,5-odd-v2", "5,4-bound-1", "5,4-bound-2"]
+
+
+@pytest.mark.parametrize("seq, bound, max_len", SURVEY_CASES, ids=SURVEY_IDS)
+def test_language_and_ties_match_the_product_survey(seq, bound, max_len):
+    old = _product_survey(seq, bound, max_len)
+    assert _survey(seq, bound, max_len) == {v: sorted(r) for v, r in old.items()}
+    language = sorted({(0,), *(min(r) for r in old.values())}, key=lambda ds: (len(ds), ds))
+    assert enumerate_language(seq, bound, max_len) == language
+    ties = {v: sorted(r) for v, r in sorted(old.items()) if len(r) > 1}
+    assert find_maximal_ties(seq, bound, max_len) == ties
+
+
+@pytest.mark.parametrize("seq, bound, max_len", SURVEY_CASES, ids=SURVEY_IDS)
+def test_survey_lengths_match_the_old_walk(seq, bound, max_len):
+    # values up to 2000, or below the 13th term where 12 digits run out
+    terms = grow(seq, 13).terms
+    limit = min(2000, terms[12] - 1)
+    horizon = bisect_right(terms, limit)
+    best = _survey(seq, bound, horizon, limit)
+    assert {v: len(r[0]) for v, r in best.items()} == _brute_longest(seq, bound, limit)
+    # the limit only cuts values: below it, the unlimited survey agrees
+    full = _survey(seq, bound, horizon)
+    assert best == {v: r for v, r in full.items() if v <= limit}
+    for value in range(1, limit + 1):
+        want = best[value][0] if value in best else None
+        assert _maximal_or_none(value, seq, bound) == want, value
