@@ -1,10 +1,11 @@
 """Command-line surface: analyze, tree, numeration, render, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource cap exceeded.  ``--scheme auto`` (the default) picks the
-even scheme for even q and reports both odd variants for odd q; the
-subcommands that need a single scheme require an explicit choice when
-q is odd.  The node cap honors the HYPQ_NODE_CAP environment variable;
+3 resource limit (a node or tile cap exceeded, or double precision
+exhausted near the disc boundary).  ``--scheme auto`` (the default)
+picks the even scheme for even q and reports both odd variants for odd
+q; the subcommands that need a single scheme require an explicit choice
+when q is odd.  The node cap honors the HYPQ_NODE_CAP environment variable;
 the --node-cap flag beats it.
 """
 
@@ -16,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from .dual import dual_scene
-from .errors import CapExceeded, HypqError, Unrepresentable
+from .errors import CapExceeded, HypqError, PrecisionExhausted, Unrepresentable
 from .numeration import basis, represent_maximal
 from .render import (
     midlines_scene,
@@ -25,7 +26,7 @@ from .render import (
     tessellation_scene,
     zigzag_scene,
 )
-from .report import report_dict, report_json, report_text, reports_json
+from .report import report_json, report_text, reports_json
 from .schlafli import (
     SchlafliPair,
     Scheme,
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CapExceeded as exc:
+    except (CapExceeded, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (HypqError, ValueError) as exc:

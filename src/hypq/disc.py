@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import PrecisionExhausted
 from .schlafli import SchlafliPair
 
 #: Tolerance for geometric identities (angles, collinearity, closures).
@@ -183,9 +184,14 @@ class Geodesic:
 
     @staticmethod
     def arc(center: complex) -> "Geodesic":
+        """The arc about center; a center inside the unit circle means the
+        solve for it lost all precision (two points hugging the boundary)."""
         mod2 = abs(center) ** 2
         if mod2 <= 1.0:
-            raise ValueError("arc center must lie outside the unit circle")
+            raise PrecisionExhausted(
+                "arc center must lie outside the unit circle; "
+                "double precision ran out near the boundary"
+            )
         return Geodesic(center, math.sqrt(mod2 - 1.0), 0j)
 
     @property

@@ -45,6 +45,10 @@ class DigitOutOfRange(HypqError):
     """A digit lies outside 0..b for the digit bound b."""
 
 
+class PrecisionExhausted(HypqError, ValueError):
+    """Double precision ran out before a disc construction could finish."""
+
+
 class InsufficientTessellationDepth(HypqError):
     """The tessellation is too shallow for the requested construction."""
 

@@ -9,11 +9,19 @@ strings so that a JSON round trip through doubles cannot corrupt them.
 
 The factor decomposition and the root list describe the core that the
 regularity verdict is taken on; they live under the "roots" key.
+
+``report_json`` and ``reports_json`` lay out the indent-2 text with a
+small hand-laid writer, byte-identical to ``json.dumps(indent=2)``.
+``json.dumps`` runs CPython's C encoder only when ``indent`` is None, so
+with an indent every leaf of a report (thousands of fan labels and
+counts) would go through the pure-Python encoder; the writer joins the
+layout itself and encodes the leaves with C-backed primitives.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from . import polyint
 from .spectral import SpectralReport
@@ -99,11 +107,68 @@ def report_dict(sr: SpectralReport) -> dict:
 
 
 def report_json(sr: SpectralReport) -> str:
-    return json.dumps(report_dict(sr), indent=2)
+    return _write(report_dict(sr))
 
 
 def reports_json(srs: list[SpectralReport]) -> str:
-    return json.dumps([report_dict(sr) for sr in srs], indent=2)
+    return _write([report_dict(sr) for sr in srs])
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+#: json's own spelling of the rarer leaves: NaN, Infinity, -0.0, true, null.
+_encode_other = json.JSONEncoder().encode
+_LEAF = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _encode_other,
+    bool: _encode_other,
+    type(None): _encode_other,
+}
+_LEAF_TYPES = frozenset(_LEAF)
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _leaves(values) -> list[str]:
+    return [_LEAF[type(v)](v) for v in values]
+
+
+def _write(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for a JSON-shaped obj with str keys.
+
+    pad is the line break and indentation before obj's closing bracket.
+    A list of equally long leaf lists (the matrix rows, the thousands of
+    [label, count] fan pairs) is encoded in one pass and cut into rows.
+    """
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_encode_str(k) + ": " + _write(v, inner) for k, v in obj.items()]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _LEAF_TYPES.issuperset(map(type, obj)):
+            items = _leaves(obj)
+        elif (
+            _ROW_TYPES.issuperset(map(type, obj))
+            and all(obj)
+            and len(set(map(len, obj))) == 1
+            and _LEAF_TYPES.issuperset(map(type, chain.from_iterable(obj)))
+        ):
+            deeper = inner + "  "
+            cells = _leaves(chain.from_iterable(obj))
+            rows = map(("," + deeper).join, zip(*[iter(cells)] * len(obj[0])))
+            row_sep = inner + "]," + inner + "[" + deeper
+            items = ["[" + deeper + row_sep.join(rows) + inner + "]"]
+        else:
+            items = [_write(v, inner) for v in obj]
+        return "[" + inner + sep.join(items) + pad + "]"
+    return _encode_other(obj)
 
 
 def _rule_text(rule) -> str:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .disc import Tile, base_tile, reflect_tile
-from .errors import CapExceeded, InsufficientTessellationDepth
+from .errors import CapExceeded, InsufficientTessellationDepth, PrecisionExhausted
 from .schlafli import SchlafliPair
 
 #: Euclidean tolerance identifying two copies of the same cell or vertex.
@@ -125,13 +125,18 @@ def tessellate(
     centers = SpatialIndex()
     centers.insert(root.center, 0)
     frontier = [root]
-    for _ in range(generations):
+    for gen in range(1, generations + 1):
         new_frontier = []
         for tile in frontier:
             for e in range(tile.p):
                 if tile.generation > 0 and e == 0:
                     continue  # edge 0 leads straight back to the parent
-                candidate = reflect_tile(tile, e, new_id=len(tiles))
+                try:
+                    candidate = reflect_tile(tile, e, new_id=len(tiles))
+                except PrecisionExhausted as exc:
+                    raise PrecisionExhausted(
+                        f"{pair}: generation {gen} after {len(tiles)} tiles: {exc}"
+                    ) from exc
                 if centers.find(candidate.center) is not None:
                     continue
                 if len(tiles) >= cap:

@@ -82,6 +82,14 @@ def test_decode_checks_digits():
         decode((1, -1, 3), FIVE_FOUR)
     with pytest.raises(DigitOutOfRange, match="digit 3 outside 0..2"):
         decode((1, 3, -1), FIVE_FOUR)
+    # b + 1 in the most significant place, on every regular desk basis
+    for pair, scheme in _desk_cases():
+        if not analyze(pair, scheme).regular:
+            continue
+        seq = basis(pair, scheme, 8)
+        b = seq.digit_bound
+        with pytest.raises(DigitOutOfRange, match=f"digit {b + 1} outside 0..{b}$"):
+            decode((b + 1,) + (0,) * 7, seq)
     assert decode((), FIVE_FOUR) == 0
     # longer strings than the stored basis grow it on the fly
     assert decode((1,) + (0,) * 9, FIVE_FOUR) == grow(FIVE_FOUR, 10).terms[9]

@@ -1,14 +1,19 @@
 """Report serialization and the command-line surface."""
 
 import json
+import math
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypq.cli import main
+from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.report import (
     _int,
     _ints,
+    _write,
     poly_text,
     report_dict,
     report_json,
@@ -17,7 +22,7 @@ from hypq.report import (
 )
 from hypq.schlafli import Scheme, validate
 from hypq.spectral import analyze
-from hypq.verify import CheckResult
+from hypq.verify import EVEN_PAIRS, ODD_PAIRS, CheckResult
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,60 @@ def test_report_dict_shapes(even_report, odd_reports):
 def test_reports_json_is_an_array(odd_reports):
     arr = json.loads(reports_json(odd_reports))
     assert [a["scheme"] for a in arr] == ["odd-v1", "odd-v2"]
+
+
+def test_writer_matches_json_dumps_on_every_desk_case():
+    compared = 0
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        pair = validate(p, q)
+        odd = []
+        for scheme in Scheme:
+            try:
+                sr = analyze(pair, scheme)
+            except (SchemeParityMismatch, UnsupportedCase):
+                continue
+            want = json.dumps(report_dict(sr), indent=2)
+            assert report_json(sr) == want, (pair, scheme)
+            compared += 1
+            if scheme in (Scheme.ODD_V1, Scheme.ODD_V2):
+                odd.append(sr)
+        if odd:
+            want = json.dumps([report_dict(sr) for sr in odd], indent=2)
+            assert reports_json(odd) == want, pair
+    # {4,5} has no legacy odd splitting
+    assert compared == 44 + 3 * 45 - 1
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**53).map(str)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\ud800", "\U0001f600"])
+)
+
+
+def _json_containers(children):
+    # lists of leaf lists, of one length and of mixed lengths
+    rows = st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(_json_leaves, min_size=n, max_size=n), min_size=1)
+    )
+    ragged = st.lists(st.lists(_json_leaves, max_size=3), min_size=2)
+    return (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | rows
+        | ragged
+    )
+
+
+@given(st.recursive(_json_leaves, _json_containers, max_leaves=40))
+def test_writer_matches_json_dumps(value):
+    assert _write(value) == json.dumps(value, indent=2)
 
 
 def test_large_integers_become_strings():
@@ -235,6 +294,17 @@ def test_cli_render_writes_svg(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert text.startswith("<?xml")
     assert "<svg" in text and text.rstrip().endswith("</svg>")
+
+
+def test_cli_render_exits_3_when_precision_runs_out(tmp_path, capsys):
+    out = tmp_path / "tess.svg"
+    args = ["render", "-p", "8", "-q", "8", "--what", "tessellation",
+            "--depth", "5", "-o", str(out)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: {8,8}: generation 5 after ")
+    assert "double precision ran out" in err
+    assert not out.exists()
 
 
 def test_cli_render_dual45_only_for_four_five(tmp_path, capsys):

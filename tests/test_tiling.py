@@ -3,7 +3,7 @@
 import pytest
 
 from hypq.disc import base_tile, hyp_distance, tile_metrics
-from hypq.errors import CapExceeded
+from hypq.errors import CapExceeded, HypqError, PrecisionExhausted
 from hypq.schlafli import validate
 from hypq.tiling import tessellate
 
@@ -113,3 +113,12 @@ def test_tile_cap():
 def test_rejects_negative_generations():
     with pytest.raises(ValueError):
         tessellate(validate(5, 4), -1)
+
+
+def test_precision_exhausted_is_typed():
+    # {8,8} gen 5 puts vertices so near the boundary that an edge's arc
+    # center solves to a point inside the disc
+    want = r"^\{8,8\}: generation 5 after \d+ tiles: .*double precision"
+    with pytest.raises(PrecisionExhausted, match=want) as info:
+        tessellate(validate(8, 8), 5)
+    assert isinstance(info.value, HypqError) and isinstance(info.value, ValueError)
