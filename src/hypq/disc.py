@@ -111,9 +111,6 @@ class Isometry:
         return Isometry(a, b, c, d, self.anti)
 
 
-IDENTITY = Isometry(1, 0, 0, 1)
-
-
 def rotation(angle: float, about: complex = 0j) -> Isometry:
     rot = Isometry(cmath.exp(1j * angle), 0, 0, 1)
     if about == 0:
@@ -179,20 +176,10 @@ class Geodesic:
     direction: complex
 
     @staticmethod
-    def diameter(direction: complex) -> "Geodesic":
-        return Geodesic(None, 0.0, direction / abs(direction))
-
-    @staticmethod
     def arc(center: complex) -> "Geodesic":
-        """The arc about center; a center inside the unit circle means the
-        solve for it lost all precision (two points hugging the boundary)."""
-        mod2 = abs(center) ** 2
-        if mod2 <= 1.0:
-            raise PrecisionExhausted(
-                "arc center must lie outside the unit circle; "
-                "double precision ran out near the boundary"
-            )
-        return Geodesic(center, math.sqrt(mod2 - 1.0), 0j)
+        """The arc about center; see _arc_radius for a center inside the
+        unit circle."""
+        return Geodesic(center, _arc_radius(center), 0j)
 
     @property
     def is_diameter(self) -> bool:
@@ -212,17 +199,13 @@ class Geodesic:
 
     def signed_distance(self, z: complex) -> float:
         """Hyperbolic distance to the line, signed by side."""
-        w = self.to_axis()(z)
-        return math.asinh(2.0 * w.imag / (1.0 - abs(w) ** 2))
+        return _axis_distance(self.to_axis(), z)
 
     def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
         return abs(self.signed_distance(z)) < tol
 
     def reflection(self) -> Isometry:
-        if self.center is None:
-            return Isometry(self.direction**2, 0, 0, 1, anti=True)
-        c = self.center
-        return Isometry(c, self.radius**2 - abs(c) ** 2, 1, -c.conjugate(), anti=True)
+        return Isometry(*_mirror(self.center, self.radius, self.direction), anti=True)
 
     def ideal_endpoints(self) -> tuple[complex, complex]:
         """The two boundary points of the line, as unit complex numbers."""
@@ -233,23 +216,72 @@ class Geodesic:
         return cmath.exp(1j * (phi - spread)), cmath.exp(1j * (phi + spread))
 
 
-def geodesic_through(z1: complex, z2: complex) -> Geodesic:
-    """The unique geodesic through two distinct points.
+def _arc_center(z1: complex, z2: complex) -> complex | None:
+    """Center of the circle through z1 and z2 orthogonal to the unit circle.
 
-    Solves 2 Re(conj(z) c) = |z|^2 + 1 for the arc center; a vanishing
-    determinant means the points are collinear with the origin and the
+    Solves 2 Re(conj(z) c) = |z|^2 + 1 for c; None when the determinant
+    vanishes, i.e. the points are collinear with the origin and their
     line is a diameter.
     """
-    if z1 == z2:
-        raise ValueError("two distinct points are needed")
     det = z1.real * z2.imag - z1.imag * z2.real
     if abs(det) < 1e-13:
-        return Geodesic.diameter(z2 - z1)
+        return None
     r1 = (abs(z1) ** 2 + 1.0) / 2.0
     r2 = (abs(z2) ** 2 + 1.0) / 2.0
     cx = (r1 * z2.imag - r2 * z1.imag) / det
     cy = (r2 * z1.real - r1 * z2.real) / det
-    return Geodesic.arc(complex(cx, cy))
+    return complex(cx, cy)
+
+
+def _arc_radius(center: complex) -> float:
+    """Radius of the orthogonal circle about center; a center inside the
+    unit circle means the solve for it lost all precision (two points
+    hugging the boundary)."""
+    mod2 = abs(center) ** 2
+    if mod2 <= 1.0:
+        raise PrecisionExhausted(
+            "arc center must lie outside the unit circle; "
+            "double precision ran out near the boundary"
+        )
+    return math.sqrt(mod2 - 1.0)
+
+
+def _line_through(z1: complex, z2: complex) -> tuple[complex | None, float, complex]:
+    """The fields (center, radius, direction) of geodesic_through(z1, z2)."""
+    if z1 == z2:
+        raise ValueError("two distinct points are needed")
+    center = _arc_center(z1, z2)
+    if center is None:
+        d = z2 - z1
+        return None, 0.0, d / abs(d)
+    return center, _arc_radius(center), 0j
+
+
+def geodesic_through(z1: complex, z2: complex) -> Geodesic:
+    """The unique geodesic through two distinct points."""
+    return Geodesic(*_line_through(z1, z2))
+
+
+def _mirror(center: complex | None, radius: float, direction: complex) -> tuple:
+    """Coefficients (a, b, c, d) of the reflection in a line given by its
+    Geodesic fields: z -> (a w + b)/(c w + d) with w = conj(z)."""
+    if center is None:
+        return direction**2, 0, 0, 1
+    return center, radius**2 - abs(center) ** 2, 1, -center.conjugate()
+
+
+def _anti_map(m: tuple, z: complex) -> complex:
+    """Image of z under the anti-Mobius map with coefficients m."""
+    a, b, c, d = m
+    w = z.conjugate()
+    return (a * w + b) / (c * w + d)
+
+
+def _axis_distance(axis: Isometry, z: complex) -> float:
+    """Geodesic.signed_distance(z) for the line that axis carries onto
+    the real diameter."""
+    w = axis(z)
+    return math.asinh(2.0 * w.imag / (1.0 - abs(w) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +333,37 @@ def base_tile(pair: SchlafliPair) -> Tile:
 
 
 def reflect_tile(tile: Tile, edge_index: int, new_id: int) -> Tile:
-    """Mirror image of a tile across one of its edges.
+    """Mirror image of a tile across one of its edges."""
+    mirror, center = _edge_mirror(tile, edge_index)
+    return _mirrored_tile(tile, edge_index, mirror, center, new_id)
+
+
+def _edge_mirror(tile: Tile, edge_index: int) -> tuple[tuple, complex]:
+    """The reflection in one edge of a tile, as _mirror coefficients,
+    and the image of the tile's center under it.  The same floats as
+    tile.edge_geodesic(edge_index).reflection(), with no object built."""
+    mirror = _mirror(*_line_through(*tile.edge(edge_index)))
+    return mirror, _anti_map(mirror, tile.center)
+
+
+def _mirrored_tile(
+    tile: Tile, edge_index: int, mirror: tuple, center: complex, new_id: int
+) -> Tile:
+    """The image of a tile under the mirror of its edge edge_index, its
+    center's image given.
 
     The image's vertex list starts at the shared edge and runs
     counter-clockwise (a reflection reverses orientation, so the
     original order is walked backwards).
     """
-    p = tile.p
-    mirror = tile.edge_geodesic(edge_index).reflection()
-    images = [mirror(v) for v in tile.vertices]
-    order = [(edge_index + 1 - j) % p for j in range(p)]
+    verts = tile.vertices
+    p = len(verts)
     return Tile(
         id=new_id,
-        vertices=tuple(images[k] for k in order),
-        center=mirror(tile.center),
+        vertices=tuple(
+            _anti_map(mirror, verts[(edge_index + 1 - j) % p]) for j in range(p)
+        ),
+        center=center,
         generation=tile.generation + 1,
         parent=tile.id,
         parent_edge=edge_index,

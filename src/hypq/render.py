@@ -9,7 +9,8 @@ objects; ``render_svg`` only turns a scene into text.
 
 Geodesic segments become single circular-arc path commands: the circle
 through two disc points orthogonal to the unit circle is recovered with
-``geodesic_through`` and the arc is always the minor one.  The output
+the arc-center solve that ``geodesic_through`` uses, without building a
+``Geodesic``, and the arc is always the minor one.  The output
 is deterministic: fixed 6-decimal coordinates, items emitted in input
 order, no dependence on anything outside the scene and style dicts.
 The vertical axis is flipped on emission so the mathematical
@@ -22,7 +23,8 @@ import cmath
 import math
 from xml.sax.saxutils import escape
 
-from .disc import Tile, base_tile, geodesic_through
+from .disc import Tile, _arc_center, _arc_radius, base_tile
+from .errors import PrecisionExhausted
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import Region, SchlafliPair, Scheme
 from .sectors import Ray, SectorBoundary, cover
@@ -66,19 +68,19 @@ def _as_complex(pt) -> complex:
 
 def _arc_command(a: complex, b: complex) -> str:
     """The path command from a to b along their common geodesic."""
+    center = _arc_center(a, b)
+    if center is None:
+        return f"L {_xy(b)}"
     try:
-        geo = geodesic_through(a, b)
-    except ValueError:
+        r = _fmt(_arc_radius(center))
+    except PrecisionExhausted:
         # Both endpoints hug the boundary and the center solve loses all
         # precision; at that scale the chord is indistinguishable.
         return f"L {_xy(b)}"
-    if geo.center is None:
-        return f"L {_xy(b)}"
-    cross = ((a - geo.center).conjugate() * (b - geo.center)).imag
+    cross = ((a - center).conjugate() * (b - center)).imag
     # Positive cross = counter-clockwise about the center in math
     # coordinates, which the y-flip turns into SVG sweep 0.
     sweep = 0 if cross > 0 else 1
-    r = _fmt(geo.radius)
     return f"A {r} {r} 0 0 {sweep} {_xy(b)}"
 
 

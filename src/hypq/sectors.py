@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from .disc import (
     GEOM_TOL,
     Geodesic,
+    Isometry,
     Tile,
+    _axis_distance,
     base_tile,
     direction_toward,
     geodesic_through,
@@ -315,22 +317,31 @@ def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBounda
 _ADVANCE = 0.5  # hyperbolic step used to probe a ray's heading
 
 
-def _heading_residual(r1: Ray, r2: Ray) -> float:
-    """How far r2 is from running along r1's line with the same heading.
+def _ray_frame(ray: Ray) -> tuple[Isometry, float, complex]:
+    """A ray's axis map (its line onto the real diameter), its heading
+    along that axis, and its probe point _ADVANCE ahead of the origin."""
+    axis = ray.line.to_axis()
+    ahead = point_at(ray.origin, ray.direction, _ADVANCE)
+    return axis, (axis(ahead) - axis(ray.origin)).real, ahead
 
-    Infinite when the headings oppose; otherwise the worse of two probe
-    distances from r1's supporting line.  The probes sit on r2, so the
-    residual is symmetric enough for pairing purposes.
+
+def _heading_residual(
+    axis: Isometry, heading: float, origin2: complex, ahead2: complex
+) -> float:
+    """How far ray r2 is from running along r1's line with the same heading.
+
+    axis and heading are r1's (_ray_frame); origin2 and ahead2 are r2's
+    origin and probe point.  Infinite when the headings oppose;
+    otherwise the worse of two probe distances from r1's supporting
+    line.  The probes sit on r2, so the residual is symmetric enough for
+    pairing purposes.
     """
-    axis = r1.line.to_axis()
-    ahead2 = point_at(r2.origin, r2.direction, _ADVANCE)
-    delta2 = (axis(ahead2) - axis(r2.origin)).real
-    delta1 = (axis(point_at(r1.origin, r1.direction, _ADVANCE)) - axis(r1.origin)).real
-    if delta1 * delta2 <= 0:
+    delta2 = (axis(ahead2) - axis(origin2)).real
+    if heading * delta2 <= 0:
         return math.inf
     return max(
-        abs(r1.line.signed_distance(r2.origin)),
-        abs(r1.line.signed_distance(ahead2)),
+        abs(_axis_distance(axis, origin2)),
+        abs(_axis_distance(axis, ahead2)),
     )
 
 
@@ -343,12 +354,16 @@ def cover_closure_residual(sectors: list[SectorBoundary]) -> float:
     result is the largest pairing gap, or infinity when some ray has no
     partner or an ambiguous one.
     """
-    rays = [(s.copy_index, ray) for s in sectors for ray in s.rays]
+    rays = [
+        (s.copy_index, ray.origin) + _ray_frame(ray)
+        for s in sectors
+        for ray in s.rays
+    ]
     worst = 0.0
-    for i, (owner, ray) in enumerate(rays):
+    for i, (owner, _, axis, heading, _) in enumerate(rays):
         gaps = sorted(
-            _heading_residual(ray, other)
-            for j, (o, other) in enumerate(rays)
+            _heading_residual(axis, heading, origin, ahead)
+            for j, (o, origin, _, _, ahead) in enumerate(rays)
             if j != i and o != owner
         )
         if not gaps or math.isinf(gaps[0]):

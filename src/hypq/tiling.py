@@ -4,7 +4,10 @@ Starting from the base tile, reflect breadth-first in every edge and
 keep one representative per cell.  Cells are identified by their
 hyperbolic center (carried through each reflection), quantized on a
 grid: reflection chains at desk depth keep centers far better separated
-than the dedup tolerance, which the closure tests confirm.
+than the dedup tolerance, which the closure tests confirm.  A candidate
+is probed by its reflected center alone; its vertices are mapped and the
+tile built only when that center is new, which at {7,3} is under half
+the candidates.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .disc import Tile, base_tile, reflect_tile
+from .disc import Tile, _edge_mirror, _mirrored_tile, base_tile
 from .errors import CapExceeded, InsufficientTessellationDepth, PrecisionExhausted
 from .schlafli import SchlafliPair
 
@@ -70,8 +73,7 @@ class Tessellation:
         return None if idx is None else self.tiles[idx]
 
     def neighbor_across(self, tile: Tile, edge_index: int) -> Tile | None:
-        mirrored = tile.edge_geodesic(edge_index).reflection()(tile.center)
-        return self.tile_at(mirrored)
+        return self.tile_at(_edge_mirror(tile, edge_index)[1])
 
     def _ensure_vertices(self) -> None:
         if self._vertex_index is not None:
@@ -132,19 +134,20 @@ def tessellate(
                 if tile.generation > 0 and e == 0:
                     continue  # edge 0 leads straight back to the parent
                 try:
-                    candidate = reflect_tile(tile, e, new_id=len(tiles))
+                    mirror, center = _edge_mirror(tile, e)
                 except PrecisionExhausted as exc:
                     raise PrecisionExhausted(
                         f"{pair}: generation {gen} after {len(tiles)} tiles: {exc}"
                     ) from exc
-                if centers.find(candidate.center) is not None:
+                if centers.find(center) is not None:
                     continue
                 if len(tiles) >= cap:
                     raise CapExceeded(
                         f"{pair}: more than {cap} tiles at {generations} generations"
                     )
-                centers.insert(candidate.center, len(tiles))
-                tiles.append(candidate)
-                new_frontier.append(candidate)
+                kept = _mirrored_tile(tile, e, mirror, center, len(tiles))
+                centers.insert(center, len(tiles))
+                tiles.append(kept)
+                new_frontier.append(kept)
         frontier = new_frontier
     return Tessellation(pair, generations, tiles, centers)

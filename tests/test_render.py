@@ -1,14 +1,19 @@
 """SVG output: document shape, determinism, and arc geometry fidelity."""
 
+import cmath
+import hashlib
 import math
 import re
 from xml.dom import minidom
 
 import pytest
 
+import geometry_oracle
 from hypq.disc import geodesic_through
 from hypq.dual import dual_scene
+from hypq.errors import PrecisionExhausted
 from hypq.render import (
+    _arc_command,
     midlines_scene,
     render_svg,
     sector_scene,
@@ -142,3 +147,65 @@ def test_midline_scene_has_ideal_geodesics():
         for key in ("a", "b"):
             x, y = item[key]
             assert abs(math.hypot(x, y) - 1.0) < 1e-9  # ideal endpoints
+
+
+# SHA-256 of render_svg output, pinned so that float drift between
+# versions shows up, not only between reruns in one process.  Taken with
+# CPython 3.11 on x86-64 Linux (glibc libm); a libm that rounds tanh or
+# exp differently in the last bit could move a printed digit.
+PINNED_SVGS = [
+    (
+        lambda: tessellation_scene(validate(7, 3), 5),
+        "c3f0a52561d1fc998efa5d696e664502a5a456dc257c4dbb667e29940c28bbb4",
+    ),
+    (
+        lambda: midlines_scene(validate(4, 5), 5),
+        "4a0b6c4b7e1380a9392b63971e9c2a5193a8cdcb78dae139e062bc5c48cdf088",
+    ),
+    (
+        lambda: zigzag_scene(validate(4, 5), 5),
+        "0fd7be67d05b3397fe79874b79c8cf5fde24f52d2585a6aa431d4f00682b3283",
+    ),
+    (
+        lambda: sector_scene(validate(5, 7), Scheme.ODD_V2, 3),
+        "a8e9d53f468db0095f313fe597616f20faa44cd091980ea4e553cd44d04a3640",
+    ),
+    (
+        lambda: sector_scene(validate(8, 8), Scheme.EVEN_Q, 4),
+        "7bdfde33d181ef09abfd9a5e2a176d29a62631ee585d35777a3d9e4b5bef23f1",
+    ),
+    (
+        lambda: dual_scene(3),
+        "bc68ee0daf9765e5c01c844a708aaba28528b83624f05e434041a00410089317",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,digest", PINNED_SVGS, ids=range(len(PINNED_SVGS)))
+def test_rendered_bytes_are_pinned(build, digest):
+    assert hashlib.sha256(render_svg(build()).encode()).hexdigest() == digest
+
+
+def test_arc_commands_match_the_object_oracle():
+    hug = 1.0 - 1e-12
+    near = (0.6 + 0.8j) * hug
+    rim = (near, cmath.exp(1j * (cmath.phase(near) + 1e-9)) * hug)
+    with pytest.raises(PrecisionExhausted):
+        geometry_oracle.line(*rim)  # the center solves inside the disc
+    pairs = [(0.5 + 0j, -0.3 + 0j), (0.25 + 0.25j, 0.25 + 0.25j), rim]
+    for scene in (
+        sector_scene(validate(8, 8), Scheme.EVEN_Q, 4),
+        midlines_scene(validate(5, 7), 2),
+        zigzag_scene(validate(5, 7), 2),
+        sector_scene(validate(4, 5), Scheme.ODD_V2, 2),
+    ):
+        for item in scene["tiles"]:
+            pts = [complex(*pt) for pt in item["points"]]
+            pairs += zip(pts, pts[1:] + pts[:1])
+        for item in scene["geodesics"]:
+            pairs.append((complex(*item["a"]), complex(*item["b"])))
+        for item in scene["sectors"]:
+            pairs += [(complex(*arc["a"]), complex(*arc["b"])) for arc in item["arcs"]]
+    assert len(pairs) > 25000
+    for a, b in pairs:
+        assert _arc_command(a, b) == geometry_oracle.arc_command(a, b), (a, b)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+import geometry_oracle
+from hypq import verify
 from hypq.disc import base_tile, hyp_distance, point_at
 from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.schlafli import Region, Scheme, validate
@@ -182,3 +184,24 @@ def test_copies_share_the_vertex_and_rotate():
         assert abs(hyp_distance(a, cov[0].vertex) - hyp_distance(0j, cov[0].vertex)) < 1e-9
         for b in witnesses[i + 1 :]:
             assert abs(a - b) > 1e-6
+
+
+#: The regions each scheme covers the plane with.
+_KINDS = {
+    Scheme.EVEN_Q: (Region.S0,),
+    Scheme.ODD_V1: (Region.S0, Region.S0_PRIME),
+    Scheme.ODD_V2: (Region.S0_PRIME,),
+}
+
+
+def test_closure_residual_matches_the_object_oracle():
+    # every desk cover, to the bit: the per-ray axis maps, probes and
+    # headings are hoisted out of the pairing loop
+    checked = 0
+    for pair, scheme in verify._desk_cases():
+        for kind in _KINDS[scheme]:
+            cov = cover(pair, scheme, kind)
+            want = geometry_oracle.cover_closure_residual(cov)
+            assert cover_closure_residual(cov).hex() == want.hex(), (pair, scheme, kind)
+            checked += 1
+    assert checked == 44 + 45 * 3

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hypq.disc import base_tile, hyp_distance, tile_metrics
+import geometry_oracle
+from hypq.disc import base_tile, hyp_distance, reflect_tile, tile_metrics
 from hypq.errors import CapExceeded, HypqError, PrecisionExhausted
 from hypq.schlafli import validate
 from hypq.tiling import tessellate
@@ -122,3 +123,33 @@ def test_precision_exhausted_is_typed():
     with pytest.raises(PrecisionExhausted, match=want) as info:
         tessellate(validate(8, 8), 5)
     assert isinstance(info.value, HypqError) and isinstance(info.value, ValueError)
+    # the same message, at the same tile, as the object-based oracle
+    with pytest.raises(PrecisionExhausted) as oracle:
+        geometry_oracle.tessellate(validate(8, 8), 5)
+    assert str(info.value) == str(oracle.value)
+    assert "after 3997 tiles" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "p,q,generations",
+    [(5, 4, 6), (4, 5, 6), (7, 3, 6), (8, 3, 4), (5, 7, 3), (8, 8, 4)],
+)
+def test_tiles_match_the_object_oracle(p, q, generations):
+    # tile for tile: id, vertices and center to the bit, generation and
+    # parent link; dedup probes the center before the tile is built
+    pair = validate(p, q)
+    want = geometry_oracle.tessellate(pair, generations)
+    got = tessellate(pair, generations).tiles
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+def test_reflect_tile_and_neighbors_match_the_object_oracle():
+    tess = tessellate(validate(5, 4), 3)
+    for tile in tess.tiles:
+        for e in range(tile.p):
+            want = geometry_oracle.reflect_tile(tile, e, new_id=7)
+            assert reflect_tile(tile, e, new_id=7) == want
+            nb = tess.neighbor_across(tile, e)
+            assert nb is tess.tile_at(want.center)
