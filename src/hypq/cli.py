@@ -6,7 +6,8 @@ exhausted near the disc boundary).  ``--scheme auto`` (the default)
 picks the even scheme for even q and reports both odd variants for odd
 q; the subcommands that need a single scheme require an explicit choice
 when q is odd.  The node cap honors the HYPQ_NODE_CAP environment variable;
-the --node-cap flag beats it.
+the --node-cap flag beats it.  A HYPQ_NODE_CAP that is not an integer
+raises ``errors.InvalidNodeCap``, which exits 2 (invalid input).
 """
 
 from __future__ import annotations

@@ -29,6 +29,10 @@ class CapExceeded(HypqError):
     """A generation step would overflow the configured node or tile cap."""
 
 
+class InvalidNodeCap(HypqError, ValueError):
+    """The HYPQ_NODE_CAP environment variable is not an integer."""
+
+
 class TooFewLevels(HypqError):
     """Not enough level counts to test the recurrence even once."""
 

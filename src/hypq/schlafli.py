@@ -140,17 +140,13 @@ def _fan_blocks(p: int, h: int, scale: int) -> tuple[tuple[tuple[str, int], ...]
     """Fan layouts for the head region and for the trailing region.
 
     The head region carries p-3 fans of size h-1 at the vertices V2..V(p-2).
-    The trailing region carries a fan of size h-2 at V2, then p-4 fans of
-    size h-1 at V3..V(p-2), then a fan of size h-2 at V1.  scale doubles
-    every size for the two-region odd variant.
+    The trailing region carries a fan of size h-2 at V2, then the head's
+    own p-4 fans at V3..V(p-2), reused as built, then a fan of size h-2 at
+    V1.  scale doubles every size for the two-region odd variant.
     """
     head = tuple((f"V{i}", scale * (h - 1)) for i in range(2, p - 1))
-    tail = (
-        (("V2", scale * (h - 2)),)
-        + tuple((f"V{i}", scale * (h - 1)) for i in range(3, p - 1))
-        + (("V1", scale * (h - 2)),)
-    )
-    return head, tail
+    short = scale * (h - 2)
+    return head, (("V2", short),) + head[1:] + (("V1", short),)
 
 
 def _check_rules(system: SplittingSystem) -> None:

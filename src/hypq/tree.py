@@ -6,7 +6,9 @@ first, root = 1, so that ids inside a level are consecutive and increase
 left to right.  Levels are stored as byte strings of region codes; the
 per-node view (parent, children) is derived arithmetically on demand,
 which keeps million-node trees affordable while preserving the exact
-numbering.
+numbering.  Each kind's expansion is laid out from its rule's
+(kind, multiplicity) runs, so a rule with millions of children costs
+O(rules) Python steps; ``expand`` stays as the per-node view.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
-from .errors import CapExceeded, TooFewLevels
+from .errors import CapExceeded, InvalidNodeCap, TooFewLevels
 from .polyint import degree, normalize
 from .schlafli import REGION_ORDER, Region, SplittingSystem, splitting_matrix
 
@@ -28,7 +30,14 @@ _CODE = {kind: i for i, kind in enumerate(REGION_ORDER)}
 
 
 def node_cap() -> int:
-    return int(os.environ.get("HYPQ_NODE_CAP", DEFAULT_NODE_CAP))
+    """The node cap from HYPQ_NODE_CAP, else DEFAULT_NODE_CAP."""
+    raw = os.environ.get("HYPQ_NODE_CAP", DEFAULT_NODE_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidNodeCap(
+            f"HYPQ_NODE_CAP must be an integer, got {raw!r}"
+        ) from None
 
 
 def expand(kind: Region, system: SplittingSystem) -> list[Region]:
@@ -170,7 +179,10 @@ def generate(
     Level sizes are predicted exactly from the matrix action before
     anything is allocated; the first level at which the running total
     passes the cap raises CapExceeded, so a refusal costs no more than
-    the levels below the cap, whatever the depth asked for.
+    the levels below the cap, whatever the depth asked for.  Each kind's
+    expansion is laid out once from its rule's (kind, multiplicity) runs,
+    so a rule with millions of children costs O(rules) Python steps, and
+    each level is the join of its nodes' expansions.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -186,11 +198,11 @@ def generate(
                 f"the tree passes the cap of {cap} nodes at level {level}"
             )
 
-    table = {}
+    table = [b""] * len(REGION_ORDER)
     for kind in system.regions:
-        table[_CODE[kind]] = bytes(_CODE[k] for k in expand(kind, system))
-    for code in range(len(REGION_ORDER)):
-        table.setdefault(code, b"")
+        table[_CODE[kind]] = b"".join(
+            bytes((_CODE[k],)) * mult for k, mult in system.rule(kind).children
+        )
 
     levels = [bytes([_CODE[system.seed]])]
     for n in range(depth):

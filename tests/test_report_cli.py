@@ -240,6 +240,28 @@ def test_cli_tree_refuses_any_depth_at_once(capsys, monkeypatch):
     assert "cap of 10000000 nodes" in err
 
 
+def test_cli_tree_cost_follows_rules_not_children(capsys, monkeypatch):
+    # {3000,3001} rules have millions of children; laying out each level
+    # from the rules' multiplicity runs keeps this well under a second
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    base = ["tree", "-p", "3000", "-q", "3001", "--format", "counts"]
+    start = time.perf_counter()
+    assert main(base + ["--scheme", "odd-v1", "--depth", "0"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert out == "1 | recurrence: SKIPPED (too few levels)\n"
+    assert main(base + ["--scheme", "odd-v2", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.startswith("1 8985007 ")
+
+
+@pytest.mark.parametrize("raw", ["abc", ""])
+def test_cli_tree_rejects_a_bad_env_cap(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HYPQ_NODE_CAP", raw)
+    assert main(["tree", "-p", "5", "-q", "4", "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: HYPQ_NODE_CAP must be an integer, got {raw!r}\n"
+
+
 def test_cli_tree_env_cap_and_flag_override(capsys, monkeypatch):
     monkeypatch.setenv("HYPQ_NODE_CAP", "100")
     args = ["tree", "-p", "5", "-q", "4", "--depth", "6"]

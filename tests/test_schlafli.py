@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sweep_sample import SWEEP_SAMPLE
 
-from hypq import polyint
+from hypq import polyint, schlafli
 from hypq.errors import (
     DegenerateInput,
     NotHyperbolic,
@@ -15,6 +16,7 @@ from hypq.errors import (
 from hypq.schlafli import (
     Region,
     Scheme,
+    _fan_blocks,
     build_system,
     characteristic_polynomial,
     splitting_matrix,
@@ -164,3 +166,34 @@ def test_fan_sizes_scale_with_scheme():
         head = system.rule(system.seed)
         assert all(size % scale == 0 for _, size in head.fans)
     assert v1.rule(Region.S0).fans == v1.rule(Region.S0_PRIME).fans
+
+
+def _fan_blocks_per_label(p, h, scale):
+    """Oracle: the head and tail fan layouts each formatted label by label,
+    as _fan_blocks built them before the tail reused the head's fans."""
+    head = tuple((f"V{i}", scale * (h - 1)) for i in range(2, p - 1))
+    tail = (
+        (("V2", scale * (h - 2)),)
+        + tuple((f"V{i}", scale * (h - 1)) for i in range(3, p - 1))
+        + (("V1", scale * (h - 2)),)
+    )
+    return head, tail
+
+
+def test_fan_blocks_equal_the_per_label_oracle():
+    # every p in 4..900 once, cycling through every (h, scale) with h in
+    # 2..40 and scale 1 or 2, so each combination meets many p
+    combos = [(h, scale) for scale in (1, 2) for h in range(2, 41)]
+    for p in range(4, 901):
+        h, scale = combos[p % len(combos)]
+        assert _fan_blocks(p, h, scale) == _fan_blocks_per_label(p, h, scale)
+    for h, scale in combos:
+        for p in (4, 5, 6, 900):
+            assert _fan_blocks(p, h, scale) == _fan_blocks_per_label(p, h, scale)
+
+
+def test_rules_equal_the_per_label_oracle_on_the_sweep_sample(monkeypatch):
+    built = [build_system(pair, scheme).rules for pair, scheme in SWEEP_SAMPLE]
+    monkeypatch.setattr(schlafli, "_fan_blocks", _fan_blocks_per_label)
+    expected = [build_system(pair, scheme).rules for pair, scheme in SWEEP_SAMPLE]
+    assert built == expected

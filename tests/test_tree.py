@@ -1,9 +1,22 @@
 """Spanning-tree generation, level counts, recurrences, caps and DOT export."""
 
 import pytest
+from sweep_sample import SWEEP_SAMPLE
 
-from hypq.errors import CapExceeded, TooFewLevels
-from hypq.schlafli import Region, Scheme, build_system, validate
+from hypq.errors import (
+    CapExceeded,
+    InvalidNodeCap,
+    SchemeParityMismatch,
+    TooFewLevels,
+    UnsupportedCase,
+)
+from hypq.schlafli import (
+    REGION_ORDER,
+    Region,
+    Scheme,
+    build_system,
+    validate,
+)
 from hypq.tree import (
     expand,
     generate,
@@ -15,6 +28,7 @@ from hypq.tree import (
     recurrence_coefficients,
     to_dot,
 )
+from hypq.verify import EVEN_PAIRS, ODD_PAIRS
 
 FIVE_FOUR = build_system(validate(5, 4), Scheme.EVEN_Q)
 FIVE_SEVEN_V1 = build_system(validate(5, 7), Scheme.ODD_V1)
@@ -94,6 +108,51 @@ def test_node_cap_environment_override(monkeypatch):
         generate(FIVE_FOUR, 6)
     monkeypatch.delenv("HYPQ_NODE_CAP")
     assert node_cap() == default
+
+
+@pytest.mark.parametrize("raw", ["abc", ""])
+def test_node_cap_environment_must_be_an_integer(monkeypatch, raw):
+    monkeypatch.setenv("HYPQ_NODE_CAP", raw)
+    with pytest.raises(InvalidNodeCap, match=f"HYPQ_NODE_CAP.*{raw!r}"):
+        node_cap()
+    with pytest.raises(InvalidNodeCap):
+        generate(FIVE_FOUR, 2)
+    # an explicit cap never reads the variable
+    assert generate(FIVE_FOUR, 2, cap=100).size == 12
+
+
+def _levels_per_child(system, depth):
+    """Oracle: the levels built from a per-child expansion table, one
+    region code per child, as generate did before it read the runs."""
+    table = {}
+    for kind in system.regions:
+        table[REGION_ORDER.index(kind)] = bytes(
+            REGION_ORDER.index(k) for k in expand(kind, system)
+        )
+    levels = [bytes([REGION_ORDER.index(system.seed)])]
+    for _ in range(depth):
+        levels.append(b"".join(map(table.__getitem__, levels[-1])))
+    return tuple(levels)
+
+
+def _desk_systems():
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        for scheme in Scheme:
+            try:
+                yield build_system(validate(p, q), scheme)
+            except (SchemeParityMismatch, UnsupportedCase):
+                continue
+
+
+def test_levels_equal_the_per_child_oracle():
+    systems = list(_desk_systems())
+    assert len(systems) == len(EVEN_PAIRS) + 3 * len(ODD_PAIRS)
+    systems += [build_system(pair, scheme) for pair, scheme in SWEEP_SAMPLE]
+    for system in systems:
+        depth = min(6, max_depth_within_cap(system, 4096))
+        assert generate(system, depth, cap=4096).levels == _levels_per_child(
+            system, depth
+        ), (system.pair, system.scheme)
 
 
 def test_max_depth_within_cap():
