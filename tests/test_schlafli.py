@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sweep_sample import SWEEP_SAMPLE
 
 from hypq import polyint, schlafli
 from hypq.errors import (
@@ -22,6 +21,7 @@ from hypq.schlafli import (
     splitting_matrix,
     validate,
 )
+from sweep_sample import SWEEP_SAMPLE
 
 
 def test_validate_accepts_hyperbolic_pairs():

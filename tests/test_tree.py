@@ -1,7 +1,6 @@
 """Spanning-tree generation, level counts, recurrences, caps and DOT export."""
 
 import pytest
-from sweep_sample import SWEEP_SAMPLE
 
 from hypq.errors import (
     CapExceeded,
@@ -29,6 +28,7 @@ from hypq.tree import (
     to_dot,
 )
 from hypq.verify import EVEN_PAIRS, ODD_PAIRS
+from sweep_sample import SWEEP_SAMPLE
 
 FIVE_FOUR = build_system(validate(5, 4), Scheme.EVEN_Q)
 FIVE_SEVEN_V1 = build_system(validate(5, 7), Scheme.ODD_V1)
