@@ -223,14 +223,13 @@ def _arc_center(z1: complex, z2: complex) -> complex | None:
     vanishes, i.e. the points are collinear with the origin and their
     line is a diameter.
     """
-    det = z1.real * z2.imag - z1.imag * z2.real
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    det = x1 * y2 - y1 * x2
     if abs(det) < 1e-13:
         return None
     r1 = (abs(z1) ** 2 + 1.0) / 2.0
     r2 = (abs(z2) ** 2 + 1.0) / 2.0
-    cx = (r1 * z2.imag - r2 * z1.imag) / det
-    cy = (r2 * z1.real - r1 * z2.real) / det
-    return complex(cx, cy)
+    return complex((r1 * y2 - r2 * y1) / det, (r2 * x1 - r1 * x2) / det)
 
 
 def _arc_radius(center: complex) -> float:
@@ -342,7 +341,9 @@ def _edge_mirror(tile: Tile, edge_index: int) -> tuple[tuple, complex]:
     """The reflection in one edge of a tile, as _mirror coefficients,
     and the image of the tile's center under it.  The same floats as
     tile.edge_geodesic(edge_index).reflection(), with no object built."""
-    mirror = _mirror(*_line_through(*tile.edge(edge_index)))
+    verts = tile.vertices
+    z1, z2 = verts[edge_index], verts[(edge_index + 1) % len(verts)]
+    mirror = _mirror(*_line_through(z1, z2))
     return mirror, _anti_map(mirror, tile.center)
 
 
@@ -356,13 +357,14 @@ def _mirrored_tile(
     counter-clockwise (a reflection reverses orientation, so the
     original order is walked backwards).
     """
+    a, b, c, d = mirror
     verts = tile.vertices
-    p = len(verts)
+    k = (edge_index + 1) % len(verts)
+    conj = [v.conjugate() for v in verts[k::-1] + verts[:k:-1]]
+    # The same operations as _anti_map, with the coefficients unpacked once.
     return Tile(
         id=new_id,
-        vertices=tuple(
-            _anti_map(mirror, verts[(edge_index + 1 - j) % p]) for j in range(p)
-        ),
+        vertices=tuple([(a * w + b) / (c * w + d) for w in conj]),
         center=center,
         generation=tile.generation + 1,
         parent=tile.id,

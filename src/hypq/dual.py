@@ -232,7 +232,7 @@ def _key(z: complex) -> tuple[float, float]:
     return (round(z.real, 6), round(z.imag, 6))
 
 
-def check_bijection(depth: int, p: int = 5, tol: float = 1e-9) -> BijectionReport:
+def check_bijection(depth: int, p: int = 5) -> BijectionReport:
     """Audit the numbering of one sector explored to the given depth.
 
     Membership of a tile in the sector is a sign test against the two

@@ -15,6 +15,12 @@ is deterministic: fixed 6-decimal coordinates, items emitted in input
 order, no dependence on anything outside the scene and style dicts.
 The vertical axis is flipped on emission so the mathematical
 orientation (counter-clockwise positive) is preserved on screen.
+
+Each path is one printf template, its commands joined, and a flat list
+of numbers, formatted with a single ``%``.  Every number is a %.6f
+token between spaces, so a negative value that rounds to zero is
+normalised by one replace of ``-0.000000`` with ``0.000000`` over the
+whole path; it cannot match any other token.
 """
 
 from __future__ import annotations
@@ -57,51 +63,62 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _xy(z: complex) -> str:
-    # User space is y-down; flipping here keeps the math orientation.
-    return f"{_fmt(z.real)} {_fmt(-z.imag)}"
-
-
 def _as_complex(pt) -> complex:
     return complex(pt[0], pt[1])
 
 
-def _arc_command(a: complex, b: complex) -> str:
-    """The path command from a to b along their common geodesic."""
+# Path commands as printf pieces; user space is y-down, so each point
+# is given as (x, -y), which keeps the math orientation on screen.
+_MOVE = "M %.6f %.6f"
+_LINE = "L %.6f %.6f"
+# Positive cross = counter-clockwise about the center in math
+# coordinates, which the y-flip turns into SVG sweep 0.
+_ARC_CCW = "A %.6f %.6f 0 0 0 %.6f %.6f"
+_ARC_CW = "A %.6f %.6f 0 0 1 %.6f %.6f"
+
+
+def _arc_piece(a: complex, b: complex, values: list) -> str:
+    """The path command from a to b along their common geodesic, as a
+    printf piece; its values are appended to values."""
     center = _arc_center(a, b)
+    if center is not None:
+        try:
+            r = _arc_radius(center)
+        except PrecisionExhausted:
+            # Both endpoints hug the boundary and the center solve loses
+            # all precision; at that scale the chord is indistinguishable.
+            center = None
     if center is None:
-        return f"L {_xy(b)}"
-    try:
-        r = _fmt(_arc_radius(center))
-    except PrecisionExhausted:
-        # Both endpoints hug the boundary and the center solve loses all
-        # precision; at that scale the chord is indistinguishable.
-        return f"L {_xy(b)}"
+        values += (b.real, -b.imag)
+        return _LINE
+    values += (r, r, b.real, -b.imag)
     cross = ((a - center).conjugate() * (b - center)).imag
-    # Positive cross = counter-clockwise about the center in math
-    # coordinates, which the y-flip turns into SVG sweep 0.
-    sweep = 0 if cross > 0 else 1
-    return f"A {r} {r} 0 0 {sweep} {_xy(b)}"
+    return _ARC_CCW if cross > 0 else _ARC_CW
+
+
+def _format_path(pieces: list[str], values: list) -> str:
+    return (" ".join(pieces) % tuple(values)).replace("-0.000000", "0.000000")
 
 
 def _segment_path(a: complex, b: complex) -> str | None:
     if abs(a - b) < _DEGENERATE:
         return None
-    return f"M {_xy(a)} {_arc_command(a, b)}"
+    values = [a.real, -a.imag]
+    return _format_path([_MOVE, _arc_piece(a, b, values)], values)
 
 
 def _polygon_path(points: list[complex]) -> str | None:
     if len(points) < 2:
         return None
-    parts = [f"M {_xy(points[0])}"]
-    for i in range(len(points)):
-        a = points[i]
-        b = points[(i + 1) % len(points)]
-        if abs(a - b) < _DEGENERATE:
-            continue
-        parts.append(_arc_command(a, b))
-    parts.append("Z")
-    return " ".join(parts)
+    a = points[0]
+    values = [a.real, -a.imag]
+    pieces = [_MOVE]
+    for b in points[1:] + points[:1]:
+        if not abs(a - b) < _DEGENERATE:
+            pieces.append(_arc_piece(a, b, values))
+        a = b
+    pieces.append("Z")
+    return _format_path(pieces, values)
 
 
 def render_svg(scene: dict, style: dict | None = None) -> str:
@@ -130,7 +147,7 @@ def render_svg(scene: dict, style: dict | None = None) -> str:
     if tiles:
         out.append('<g class="tiles">')
         for item in tiles:
-            pts = [_as_complex(p) for p in item["points"]]
+            pts = [complex(pt[0], pt[1]) for pt in item["points"]]
             d = _polygon_path(pts)
             if d is None:
                 continue
@@ -202,7 +219,7 @@ def _pt(z: complex) -> list[float]:
 
 
 def _tile_entry(tile: Tile) -> dict:
-    return {"points": [_pt(v) for v in tile.vertices]}
+    return {"points": [[v.real, v.imag] for v in tile.vertices]}
 
 
 def _ray_to_ideal(ray: Ray) -> complex:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import CapExceeded, InvalidNodeCap, TooFewLevels
 from .polyint import degree, normalize
@@ -239,12 +239,25 @@ def recurrence_check(counts: list[int], poly: tuple[int, ...]) -> bool:
 
 
 def to_dot(tree: SpanningTree) -> str:
-    """DOT rendering, one node per line, then the parent edges."""
-    lines = ["digraph spanning_tree {"]
-    for node in tree.nodes():
-        lines.append(f'  {node.id} [label="{node.kind.label}/{node.level}"];')
-    for node in tree.nodes():
-        for child in node.children:
-            lines.append(f"  {node.id} -> {child};")
-    lines.append("}")
-    return "\n".join(lines)
+    """DOT rendering, one node per line, then the parent edges.
+
+    Written a level at a time from the level strings: a level's ids run
+    consecutively from its offset, and its nodes' children are the ids
+    of the next level in order, each parent repeated once per child.
+    """
+    offsets = tree._offsets
+    counts = tree._child_counts()
+    node_chunks, edge_chunks = [], []
+    for n, level in enumerate(tree.levels):
+        ids = range(offsets[n], offsets[n + 1])
+        labels = [f'[label="{kind.label}/{n}"];' for kind in REGION_ORDER]
+        node_chunks.append(
+            "\n".join(map("  {} {}".format, ids, map(labels.__getitem__, level)))
+        )
+        if n < tree.depth:
+            parents = chain.from_iterable(
+                map(repeat, ids, map(counts.__getitem__, level))
+            )
+            children = range(offsets[n + 1], offsets[n + 2])
+            edge_chunks.append("\n".join(map("  {} -> {};".format, parents, children)))
+    return "\n".join(["digraph spanning_tree {", *node_chunks, *edge_chunks, "}"])

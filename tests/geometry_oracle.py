@@ -6,14 +6,42 @@ same values the object-per-candidate way, one operation for one
 operation, so the tests can require equal floats rather than close ones:
 a reordered or fused operation anywhere in the fast path shows up as a
 differing bit.
+
+The dedup index and the SVG path text are kept here as they were before
+hypq probed a 2x2 grid and formatted each path once: a 3x3 probe of
+tol-sized cells, and one f-string per number with its own -0 check.
 """
 
 import math
 
 from hypq.disc import Isometry, Tile, base_tile, point_at
 from hypq.errors import PrecisionExhausted
-from hypq.render import _fmt, _xy
-from hypq.tiling import SpatialIndex
+
+
+class SpatialIndex:
+    """Points on a tol-sized grid; a lookup scans the 3x3 cells around."""
+
+    def __init__(self, tol=1e-6):
+        self.tol = tol
+        self._grid = {}
+
+    def _cell(self, z):
+        return math.floor(z.real / self.tol), math.floor(z.imag / self.tol)
+
+    def find(self, z):
+        cx, cy = self._cell(z)
+        best = None
+        best_d = self.tol
+        for ix in (cx - 1, cx, cx + 1):
+            for iy in (cy - 1, cy, cy + 1):
+                for w, payload in self._grid.get((ix, iy), ()):
+                    d = abs(z - w)
+                    if d < best_d:
+                        best, best_d = payload, d
+        return best
+
+    def insert(self, z, payload):
+        self._grid.setdefault(self._cell(z), []).append((z, payload))
 
 
 def line(z1, z2):
@@ -91,6 +119,15 @@ def tessellate(pair, generations) -> list[Tile]:
     return tiles
 
 
+def _fmt(x: float) -> str:
+    out = f"{x:.6f}"
+    return "0.000000" if out == "-0.000000" else out
+
+
+def _xy(z: complex) -> str:
+    return f"{_fmt(z.real)} {_fmt(-z.imag)}"
+
+
 def arc_command(a: complex, b: complex) -> str:
     """The SVG path command from a to b along their geodesic."""
     try:
@@ -103,6 +140,26 @@ def arc_command(a: complex, b: complex) -> str:
     sweep = 0 if cross > 0 else 1
     r = _fmt(radius)
     return f"A {r} {r} 0 0 {sweep} {_xy(b)}"
+
+
+def segment_path(a: complex, b: complex):
+    if abs(a - b) < 1e-9:
+        return None
+    return f"M {_xy(a)} {arc_command(a, b)}"
+
+
+def polygon_path(points):
+    if len(points) < 2:
+        return None
+    parts = [f"M {_xy(points[0])}"]
+    for i in range(len(points)):
+        a = points[i]
+        b = points[(i + 1) % len(points)]
+        if abs(a - b) < 1e-9:
+            continue
+        parts.append(arc_command(a, b))
+    parts.append("Z")
+    return " ".join(parts)
 
 
 _ADVANCE = 0.5

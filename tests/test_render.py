@@ -13,7 +13,8 @@ from hypq.disc import geodesic_through
 from hypq.dual import dual_scene
 from hypq.errors import PrecisionExhausted
 from hypq.render import (
-    _arc_command,
+    _polygon_path,
+    _segment_path,
     midlines_scene,
     render_svg,
     sector_scene,
@@ -208,4 +209,36 @@ def test_arc_commands_match_the_object_oracle():
             pairs += [(complex(*arc["a"]), complex(*arc["b"])) for arc in item["arcs"]]
     assert len(pairs) > 25000
     for a, b in pairs:
-        assert _arc_command(a, b) == geometry_oracle.arc_command(a, b), (a, b)
+        assert _segment_path(a, b) == geometry_oracle.segment_path(a, b), (a, b)
+        # the same pair as a closed two-point path draws both directions
+        assert _polygon_path([a, b]) == geometry_oracle.polygon_path([a, b]), (a, b)
+
+
+def test_paths_match_the_per_number_writer():
+    # every tile of three tessellations, plus the special cases: a
+    # diameter, equal points, a degenerate edge inside a polygon, a
+    # center that solves inside the disc, and coordinates that print
+    # as -0.000000 before normalisation
+    hug = 1.0 - 1e-12
+    near = (0.6 + 0.8j) * hug
+    rim = [near, cmath.exp(1j * (cmath.phase(near) + 1e-9)) * hug]
+    polygons = [
+        [0.5 + 0j, -0.3 + 0j],
+        [0.25 + 0.25j, 0.25 + 0.25j],
+        rim,
+        [0.1 + 0.1j, 0.1 + 0.1j + 1e-12, 0.3 - 0.2j, -0.2 + 0.1j],
+        [-1e-9 + 0.5j, 0.4 - 1e-9j, -0.3 + 1e-9j, -1e-7 - 2e-7j],
+        [0j, -1e-9 - 1e-9j],
+        [0.3 + 0.1j],
+        [],
+    ]
+    for pair, gen in ((validate(7, 3), 6), (validate(4, 5), 6), (validate(8, 8), 4)):
+        for item in tessellation_scene(pair, gen)["tiles"]:
+            polygons.append([complex(*pt) for pt in item["points"]])
+    assert len(polygons) > 3000
+    for pts in polygons:
+        assert _polygon_path(pts) == geometry_oracle.polygon_path(pts), pts
+        for a, b in zip(pts, pts[1:]):
+            assert _segment_path(a, b) == geometry_oracle.segment_path(a, b), (a, b)
+    assert "%.6f" % -1e-9 == "-0.000000"
+    assert "-0.000000" not in _polygon_path(polygons[4])

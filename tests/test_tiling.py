@@ -1,12 +1,16 @@
 """Reflection closure of the base tile: dedup, adjacency, vertex rings."""
 
+import cmath
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geometry_oracle
 from hypq.disc import base_tile, hyp_distance, reflect_tile, tile_metrics
 from hypq.errors import CapExceeded, HypqError, PrecisionExhausted
 from hypq.schlafli import validate
-from hypq.tiling import tessellate
+from hypq.tiling import DEDUP_TOL, SpatialIndex, tessellate
 
 
 def test_generation_zero_is_the_base_tile():
@@ -153,3 +157,105 @@ def test_reflect_tile_and_neighbors_match_the_object_oracle():
             assert reflect_tile(tile, e, new_id=7) == want
             nb = tess.neighbor_across(tile, e)
             assert nb is tess.tile_at(want.center)
+
+
+# ---------------------------------------------------------------------------
+# The 2x2 grid probe against a brute-force scan and the old 3x3 index
+
+TOL = DEDUP_TOL
+coords = st.floats(-1.5, 1.5, allow_nan=False)
+# multiples of the grid step and of tol land exactly on cell borders
+borders = st.integers(-750_000, 750_000).map(lambda k: k * TOL)
+anchors = st.builds(complex, coords | borders, coords | borders)
+# offsets at the edge of the tolerance, well inside it, and on the axes
+radii = st.sampled_from(
+    [TOL * (1 - 1e-9), TOL * (1 + 1e-9), TOL, TOL / 2, TOL * 0.999, 0.0, 3 * TOL]
+) | st.floats(0.0, 4 * TOL)
+angles = st.sampled_from([0.0, cmath.pi / 2, cmath.pi, -cmath.pi / 2]) | st.floats(
+    -cmath.pi, cmath.pi
+)
+offsets = st.builds(lambda r, t: cmath.rect(r, t), radii, angles)
+
+
+def _cluster(anchor, offs):
+    return [anchor + d for d in offs]
+
+
+clusters = st.lists(
+    st.builds(_cluster, anchors, st.lists(offsets, min_size=1, max_size=6)),
+    min_size=1,
+    max_size=8,
+).map(lambda groups: [z for g in groups for z in g])
+
+
+def _brute_find(points, z, tol=TOL):
+    best, best_d = None, tol
+    for payload, w in enumerate(points):
+        d = abs(z - w)
+        if d < best_d:
+            best, best_d = payload, d
+    return best
+
+
+def _distance(points, z, hit):
+    # equidistant points may be scanned in another order; compare the
+    # distance of the hit, which is the same for every nearest point
+    return None if hit is None else abs(z - points[hit])
+
+
+@settings(max_examples=200, deadline=None)
+@given(clusters, st.lists(offsets, min_size=1, max_size=6))
+def test_find_is_the_nearest_point_within_tol(points, probe_offsets):
+    new, old = SpatialIndex(), geometry_oracle.SpatialIndex()
+    for payload, w in enumerate(points):
+        new.insert(w, payload)
+        old.insert(w, payload)
+    probes = [w + d for w in points for d in probe_offsets] + points
+    for z in probes:
+        want = _distance(points, z, _brute_find(points, z))
+        assert _distance(points, z, new.find(z)) == want, z
+        assert _distance(points, z, old.find(z)) == want, z
+
+
+@settings(max_examples=100, deadline=None)
+@given(clusters)
+def test_insert_then_find_keeps_one_point_per_tol(points):
+    # the dedup pattern of tessellate: insert only what find does not see
+    new, old = SpatialIndex(), geometry_oracle.SpatialIndex()
+    kept_new, kept_old = [], []
+    for z in points:
+        for index, kept in ((new, kept_new), (old, kept_old)):
+            hit = index.find(z)
+            assert _distance(kept, z, hit) == _distance(kept, z, _brute_find(kept, z))
+            if hit is None:
+                index.insert(z, len(kept))
+                kept.append(z)
+    assert kept_new == kept_old
+    for i, z in enumerate(kept_new):
+        assert new.find(z) == i
+
+
+def test_find_at_cell_borders_and_the_tolerance_edge():
+    # stored points on the borders of the 2*tol grid and half a cell off
+    # them, probed from just inside and just outside tol in eight
+    # directions; a probe is never confused by the border it sits near
+    new, old = SpatialIndex(), geometry_oracle.SpatialIndex()
+    points = []
+    for k in (-500_000, -3, -1, 0, 1, 2, 499_999):
+        for frac in (0.0, 0.5, 1.0 - 1e-12):
+            x = (k + frac) * 2 * TOL
+            for y in (0.0, x, -x, 0.3):
+                points += [complex(x, y), complex(y, x)]
+    for payload, w in enumerate(points):
+        new.insert(w, payload)
+        old.insert(w, payload)
+    probed = 0
+    for w in points:
+        for scale in (1 - 1e-9, 1 + 1e-9):
+            for t in range(8):
+                z = w + cmath.rect(TOL * scale, t * cmath.pi / 4)
+                want = _distance(points, z, _brute_find(points, z))
+                assert _distance(points, z, new.find(z)) == want, z
+                assert _distance(points, z, old.find(z)) == want, z
+                probed += want is not None
+    assert probed > len(points) * 4

@@ -199,3 +199,33 @@ def test_to_dot_structure():
     assert len(nodes) == tree.size == 12
     assert len(edges) == tree.size - 1
     assert '1 [label="S0/0"];' in dot
+
+
+def _node_by_node_dot(tree):
+    """The DOT text built through the per-node view, two walks of it."""
+    lines = ["digraph spanning_tree {"]
+    for node in tree.nodes():
+        lines.append(f'  {node.id} [label="{node.kind.label}/{node.level}"];')
+    for node in tree.nodes():
+        for child in node.children:
+            lines.append(f"  {node.id} -> {child};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_to_dot_matches_the_node_walk():
+    # every desk case at depths 0..4 whose tree holds at most 2000 nodes
+    # (460 trees; the full set at depth 4 is 297M nodes)
+    checked = 0
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        pair = validate(p, q)
+        schemes = [Scheme.EVEN_Q] if q % 2 == 0 else [Scheme.ODD_V1, Scheme.ODD_V2]
+        for scheme in schemes:
+            system = build_system(pair, scheme)
+            for depth in range(5):
+                if predicted_total(system, depth) > 2000:
+                    break
+                tree = generate(system, depth)
+                assert to_dot(tree) == _node_by_node_dot(tree), (pair, scheme, depth)
+                checked += 1
+    assert checked == 460
