@@ -113,7 +113,7 @@ def cmd_tree(args) -> int:
             verdict = "SKIPPED (too few levels)"
         print(" ".join(map(str, counts)) + f" | recurrence: {verdict}")
     elif args.format == "dot":
-        print(to_dot(tree))
+        to_dot(tree, sys.stdout)
     else:
         print(
             json.dumps(

@@ -6,9 +6,16 @@ first, root = 1, so that ids inside a level are consecutive and increase
 left to right.  Levels are stored as byte strings of region codes; the
 per-node view (parent, children) is derived arithmetically on demand,
 which keeps million-node trees affordable while preserving the exact
-numbering.  Each kind's expansion is laid out from its rule's
-(kind, multiplicity) runs, so a rule with millions of children costs
-O(rules) Python steps; ``expand`` stays as the per-node view.
+numbering.
+
+The rules form a morphism sigma on region codes (a D0L system), and
+level n is sigma^n(seed).  ``generate`` keeps one byte string per kind
+holding sigma^i(kind) and builds step i's strings from step i-1's by
+joining the rule's (kind, multiplicity) runs, so a level costs O(rule
+runs) Python steps plus memcpy, however many nodes it holds.  Step i
+builds only the kinds found on levels 0..depth-i, so each string is a
+stretch of some level and the node cap bounds memory; ``expand`` stays
+as the per-node view.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
+from typing import TextIO
 
 from .errors import CapExceeded, InvalidNodeCap, TooFewLevels
 from .polyint import degree, normalize
@@ -94,13 +102,19 @@ class TreeNode:
 
 @dataclass
 class SpanningTree:
-    """Immutable once generated; per-level navigation tables are cached."""
+    """Immutable once generated; per-level navigation tables are cached.
+
+    Equality compares the system, depth and levels only: the derived
+    offsets and the tables that navigation fills in are left out.
+    """
 
     system: SplittingSystem
     depth: int
     levels: tuple[bytes, ...]
-    _offsets: tuple[int, ...] = field(init=False, repr=False)
-    _prefix_cache: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _prefix_cache: dict[int, list[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         starts = [1]
@@ -120,6 +134,7 @@ class SpanningTree:
         return REGION_ORDER[self.levels[n][i]]
 
     def _locate(self, node_id: int) -> tuple[int, int]:
+        """(level, index within the level) of a node id."""
         if not 1 <= node_id <= self.size:
             raise KeyError(f"node id {node_id} out of range 1..{self.size}")
         n = bisect_right(self._offsets, node_id) - 1
@@ -139,30 +154,32 @@ class SpanningTree:
             self._prefix_cache[level] = cached
         return cached
 
-    def children_of(self, node_id: int) -> tuple[int, ...]:
-        n, i = self._locate(node_id)
+    def _children(self, n: int, i: int) -> tuple[int, ...]:
         if n == self.depth:
             return ()
         prefix = self._prefix(n)
-        start = self._offsets[n + 1] + prefix[i]
-        return tuple(range(start, self._offsets[n + 1] + prefix[i + 1]))
+        start = self._offsets[n + 1]
+        return tuple(range(start + prefix[i], start + prefix[i + 1]))
 
-    def parent_of(self, node_id: int) -> int | None:
-        n, i = self._locate(node_id)
+    def _parent(self, n: int, i: int) -> int | None:
         if n == 0:
             return None
-        prefix = self._prefix(n - 1)
-        j = bisect_right(prefix, i) - 1
-        return self._offsets[n - 1] + j
+        return self._offsets[n - 1] + bisect_right(self._prefix(n - 1), i) - 1
+
+    def children_of(self, node_id: int) -> tuple[int, ...]:
+        return self._children(*self._locate(node_id))
+
+    def parent_of(self, node_id: int) -> int | None:
+        return self._parent(*self._locate(node_id))
 
     def node(self, node_id: int) -> TreeNode:
-        n, _ = self._locate(node_id)
+        n, i = self._locate(node_id)
         return TreeNode(
             id=node_id,
-            kind=self.kind_of(node_id),
+            kind=REGION_ORDER[self.levels[n][i]],
             level=n,
-            parent=self.parent_of(node_id),
-            children=self.children_of(node_id),
+            parent=self._parent(n, i),
+            children=self._children(n, i),
         )
 
     def nodes(self):
@@ -179,10 +196,15 @@ def generate(
     Level sizes are predicted exactly from the matrix action before
     anything is allocated; the first level at which the running total
     passes the cap raises CapExceeded, so a refusal costs no more than
-    the levels below the cap, whatever the depth asked for.  Each kind's
-    expansion is laid out once from its rule's (kind, multiplicity) runs,
-    so a rule with millions of children costs O(rules) Python steps, and
-    each level is the join of its nodes' expansions.
+    the levels below the cap, whatever the depth asked for.
+
+    Level i is sigma^i(seed) for the rule morphism sigma.  One byte
+    string per kind holds sigma^i(kind); step i joins, for each kind,
+    step i-1's strings of its rule's (kind, multiplicity) runs, so the
+    whole tree costs O(depth x rule runs) Python steps plus memcpy.  A
+    kind first found on level j is needed only through step depth-j,
+    and sigma^i(kind) is then the stretch of level j+i under one node,
+    so no string outgrows a level and the cap bounds memory.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -198,18 +220,32 @@ def generate(
                 f"the tree passes the cap of {cap} nodes at level {level}"
             )
 
-    table = [b""] * len(REGION_ORDER)
-    for kind in system.regions:
-        table[_CODE[kind]] = b"".join(
-            bytes((_CODE[k],)) * mult for k, mult in system.rule(kind).children
-        )
+    runs = {
+        _CODE[kind]: [(_CODE[k], m) for k, m in system.rule(kind).children if m]
+        for kind in system.regions
+    }
+    seed = _CODE[system.seed]
+    # first[k]: the first level that holds kind k, breadth first over the
+    # runs (a zero-multiplicity run puts no node on the next level)
+    first = {seed: 0}
+    queue = [seed]
+    for k in queue:
+        for c, _ in runs[k]:
+            if c not in first:
+                first[c] = first[k] + 1
+                queue.append(c)
 
-    levels = [bytes([_CODE[system.seed]])]
-    for n in range(depth):
-        nxt = b"".join(map(table.__getitem__, levels[-1]))
-        if len(nxt) != sizes[n + 1]:
+    power = {k: bytes((k,)) for k, j in first.items() if j <= depth}
+    levels = [power[seed]]
+    for i in range(1, depth + 1):
+        power = {
+            k: b"".join([power[c] * m for c, m in runs[k]])
+            for k, j in first.items()
+            if j <= depth - i
+        }
+        if len(power[seed]) != sizes[i]:
             raise AssertionError("expanded level disagrees with the matrix count")
-        levels.append(nxt)
+        levels.append(power[seed])
     return SpanningTree(system, depth, tuple(levels))
 
 
@@ -238,26 +274,27 @@ def recurrence_check(counts: list[int], poly: tuple[int, ...]) -> bool:
     return True
 
 
-def to_dot(tree: SpanningTree) -> str:
-    """DOT rendering, one node per line, then the parent edges.
+def to_dot(tree: SpanningTree, out: TextIO) -> None:
+    """Write the DOT rendering to out: one node per line, then the parent
+    edges, then the closing brace and a newline.
 
-    Written a level at a time from the level strings: a level's ids run
-    consecutively from its offset, and its nodes' children are the ids
-    of the next level in order, each parent repeated once per child.
+    Written a level at a time from the level strings, so no more than
+    one level's text is held at once: a level's ids run consecutively
+    from its offset, and its nodes' children are the ids of the next
+    level in order, each parent repeated once per child.
     """
     offsets = tree._offsets
     counts = tree._child_counts()
-    node_chunks, edge_chunks = [], []
+    out.write("digraph spanning_tree {")
     for n, level in enumerate(tree.levels):
         ids = range(offsets[n], offsets[n + 1])
         labels = [f'[label="{kind.label}/{n}"];' for kind in REGION_ORDER]
-        node_chunks.append(
-            "\n".join(map("  {} {}".format, ids, map(labels.__getitem__, level)))
-        )
-        if n < tree.depth:
-            parents = chain.from_iterable(
-                map(repeat, ids, map(counts.__getitem__, level))
-            )
-            children = range(offsets[n + 1], offsets[n + 2])
-            edge_chunks.append("\n".join(map("  {} -> {};".format, parents, children)))
-    return "\n".join(["digraph spanning_tree {", *node_chunks, *edge_chunks, "}"])
+        out.write("\n")
+        out.write("\n".join(map("  {} {}".format, ids, map(labels.__getitem__, level))))
+    for n, level in enumerate(tree.levels[:-1]):
+        ids = range(offsets[n], offsets[n + 1])
+        parents = chain.from_iterable(map(repeat, ids, map(counts.__getitem__, level)))
+        children = range(offsets[n + 1], offsets[n + 2])
+        out.write("\n")
+        out.write("\n".join(map("  {} -> {};".format, parents, children)))
+    out.write("\n}\n")

@@ -1,7 +1,13 @@
 """Spanning-tree generation, level counts, recurrences, caps and DOT export."""
 
+import io
+import random
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
+from hypq.dual import fibonacci_tree
 from hypq.errors import (
     CapExceeded,
     InvalidNodeCap,
@@ -10,7 +16,6 @@ from hypq.errors import (
     UnsupportedCase,
 )
 from hypq.schlafli import (
-    REGION_ORDER,
     Region,
     Scheme,
     build_system,
@@ -29,6 +34,7 @@ from hypq.tree import (
 )
 from hypq.verify import EVEN_PAIRS, ODD_PAIRS
 from sweep_sample import SWEEP_SAMPLE
+from tree_oracle import four_lookup_node, per_node_levels
 
 FIVE_FOUR = build_system(validate(5, 4), Scheme.EVEN_Q)
 FIVE_SEVEN_V1 = build_system(validate(5, 7), Scheme.ODD_V1)
@@ -121,20 +127,6 @@ def test_node_cap_environment_must_be_an_integer(monkeypatch, raw):
     assert generate(FIVE_FOUR, 2, cap=100).size == 12
 
 
-def _levels_per_child(system, depth):
-    """Oracle: the levels built from a per-child expansion table, one
-    region code per child, as generate did before it read the runs."""
-    table = {}
-    for kind in system.regions:
-        table[REGION_ORDER.index(kind)] = bytes(
-            REGION_ORDER.index(k) for k in expand(kind, system)
-        )
-    levels = [bytes([REGION_ORDER.index(system.seed)])]
-    for _ in range(depth):
-        levels.append(b"".join(map(table.__getitem__, levels[-1])))
-    return tuple(levels)
-
-
 def _desk_systems():
     for p, q in EVEN_PAIRS + ODD_PAIRS:
         for scheme in Scheme:
@@ -144,15 +136,124 @@ def _desk_systems():
                 continue
 
 
-def test_levels_equal_the_per_child_oracle():
+def test_levels_equal_the_per_node_oracle():
     systems = list(_desk_systems())
     assert len(systems) == len(EVEN_PAIRS) + 3 * len(ODD_PAIRS)
     systems += [build_system(pair, scheme) for pair, scheme in SWEEP_SAMPLE]
     for system in systems:
-        depth = min(6, max_depth_within_cap(system, 4096))
-        assert generate(system, depth, cap=4096).levels == _levels_per_child(
-            system, depth
-        ), (system.pair, system.scheme)
+        depth = max_depth_within_cap(system, 2 * 10**5)
+        assert generate(system, depth).levels == per_node_levels(system, depth), (
+            system.pair,
+            system.scheme,
+        )
+
+
+def test_fibonacci_levels_equal_the_per_node_oracle():
+    # depths 0..12, as far as the default node cap admits
+    for p in (5, 6, 7):
+        system = fibonacci_tree(0, p).system
+        for depth in range(min(12, max_depth_within_cap(system)) + 1):
+            assert fibonacci_tree(depth, p).levels == per_node_levels(system, depth)
+
+
+# The {5,4} rules seeded with S1: the non-seed kind S0 grows faster than
+# S1, and is first found on level 1, so the last step builds no string
+# for it.  With S0 -> 9 S0 it outgrows the seed ninefold.
+S1_SEEDED = replace(FIVE_FOUR, seed=Region.S1)
+FAST_S0 = replace(
+    S1_SEEDED,
+    rules=tuple(
+        replace(rule, children=((Region.S0, 9),)) if rule.parent is Region.S0 else rule
+        for rule in FIVE_FOUR.rules
+    ),
+)
+
+
+def test_levels_of_a_non_seed_kind_that_grows_faster():
+    for system in (S1_SEEDED, FAST_S0):
+        depth = max_depth_within_cap(system, 10**6)
+        tree = generate(system, depth, cap=10**6)
+        assert tree.levels == per_node_levels(system, depth)
+    assert generate(S1_SEEDED, 3).level_counts() == [1, 2, 5, 13]
+
+
+def test_generate_memory_stays_near_the_tree_size():
+    # Building every kind's string through the last step would peak at
+    # 3.1x ({5,4} seeded with S1), 3.2x ({5,7} odd-v1), 5.0x ({4,899}
+    # odd-v2) and 8.9x (S0 -> 9 S0) the tree's bytes; the kinds found
+    # late stop early and keep each of these within 2x.
+    systems = [
+        S1_SEEDED,
+        FAST_S0,
+        build_system(validate(5, 7), Scheme.ODD_V1),
+        build_system(validate(4, 899), Scheme.ODD_V2),
+        FIVE_FOUR,
+    ]
+    for system in systems:
+        depth = max_depth_within_cap(system, 10**6)
+        tracemalloc.start()
+        try:
+            tree = generate(system, depth, cap=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(map(len, tree.levels))
+        assert size > 2 * 10**5
+        assert peak <= 2.5 * size, (system.pair, system.scheme, system.seed)
+
+
+def test_equal_trees_stay_equal_after_navigation():
+    a, b = generate(FIVE_FOUR, 4), generate(FIVE_FOUR, 4)
+    assert a == b
+    a.node(3)
+    a.parent_of(20)
+    assert a._prefix_cache and not b._prefix_cache
+    assert a == b
+    assert a != generate(FIVE_FOUR, 3)
+    assert a != generate(S1_SEEDED, 4)
+
+
+def _small_desk_trees():
+    """Every desk case at depths 0..4 whose tree holds at most 2000 nodes
+    (460 trees; the full set at depth 4 is 297M nodes)."""
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        pair = validate(p, q)
+        schemes = [Scheme.EVEN_Q] if q % 2 == 0 else [Scheme.ODD_V1, Scheme.ODD_V2]
+        for scheme in schemes:
+            system = build_system(pair, scheme)
+            for depth in range(5):
+                if predicted_total(system, depth) > 2000:
+                    break
+                yield generate(system, depth)
+
+
+# the walk trees of the benchmark's trees workload, at its 10^5 node cap
+WALK_CASES = (
+    (5, 4, Scheme.EVEN_Q),
+    (6, 4, Scheme.EVEN_Q),
+    (5, 7, Scheme.ODD_V1),
+    (4, 7, Scheme.ODD_V1),
+    (5, 7, Scheme.ODD_V2),
+    (4, 5, Scheme.ODD_V1),
+)
+
+
+def test_node_equals_the_four_lookup_view():
+    trees = list(_small_desk_trees())
+    assert len(trees) == 460
+    for tree in trees:
+        for node_id in range(1, tree.size + 1):
+            assert tree.node(node_id) == four_lookup_node(tree, node_id)
+    rng = random.Random(10)
+    for p, q, scheme in WALK_CASES:
+        system = build_system(validate(p, q), scheme)
+        tree = generate(system, max_depth_within_cap(system, 10**5), cap=10**5)
+        for node_id in (rng.randint(1, tree.size) for _ in range(2000)):
+            assert tree.node(node_id) == four_lookup_node(tree, node_id)
+        for bad in (0, tree.size + 1):
+            for lookup in (tree.node, tree.kind_of, tree.parent_of, tree.children_of):
+                with pytest.raises(KeyError):
+                    lookup(bad)
 
 
 def test_max_depth_within_cap():
@@ -188,9 +289,16 @@ def test_recurrence_holds_for_every_scheme():
         assert recurrence_check(counts, poly), (pair, scheme)
 
 
+def _dot(tree):
+    out = io.StringIO()
+    to_dot(tree, out)
+    return out.getvalue()
+
+
 def test_to_dot_structure():
     tree = generate(FIVE_FOUR, 2)
-    dot = to_dot(tree)
+    dot = _dot(tree)
+    assert dot.endswith("}\n")
     lines = dot.splitlines()
     assert lines[0] == "digraph spanning_tree {"
     assert lines[-1] == "}"
@@ -214,18 +322,12 @@ def _node_by_node_dot(tree):
 
 
 def test_to_dot_matches_the_node_walk():
-    # every desk case at depths 0..4 whose tree holds at most 2000 nodes
-    # (460 trees; the full set at depth 4 is 297M nodes)
     checked = 0
-    for p, q in EVEN_PAIRS + ODD_PAIRS:
-        pair = validate(p, q)
-        schemes = [Scheme.EVEN_Q] if q % 2 == 0 else [Scheme.ODD_V1, Scheme.ODD_V2]
-        for scheme in schemes:
-            system = build_system(pair, scheme)
-            for depth in range(5):
-                if predicted_total(system, depth) > 2000:
-                    break
-                tree = generate(system, depth)
-                assert to_dot(tree) == _node_by_node_dot(tree), (pair, scheme, depth)
-                checked += 1
+    for tree in _small_desk_trees():
+        assert _dot(tree) == _node_by_node_dot(tree) + "\n", (
+            tree.system.pair,
+            tree.system.scheme,
+            tree.depth,
+        )
+        checked += 1
     assert checked == 460
