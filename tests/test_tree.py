@@ -142,7 +142,8 @@ def test_levels_equal_the_per_node_oracle():
     systems += [build_system(pair, scheme) for pair, scheme in SWEEP_SAMPLE]
     for system in systems:
         depth = max_depth_within_cap(system, 2 * 10**5)
-        assert generate(system, depth).levels == per_node_levels(system, depth), (
+        tree = generate(system, depth, cap=2 * 10**5)
+        assert tree.levels == per_node_levels(system, depth), (
             system.pair,
             system.scheme,
         )
