@@ -4,9 +4,9 @@ Applying the rules as a substitution system yields, level by level, the
 tree that spans the tiles of a sector.  Nodes are numbered breadth
 first, root = 1, so that ids inside a level are consecutive and increase
 left to right.  Levels are stored as byte strings of region codes; the
-per-node view (parent, children) is derived arithmetically on demand,
-which keeps million-node trees affordable while preserving the exact
-numbering.
+per-node view (``SpanningTree.node``: kind, parent, children) is derived
+arithmetically on demand, which keeps million-node trees affordable
+while preserving the exact numbering.
 
 The rules form a morphism sigma on region codes (a D0L system), and
 level n is sigma^n(seed).  ``generate`` keeps one byte string per kind
@@ -14,17 +14,26 @@ holding sigma^i(kind) and builds step i's strings from step i-1's by
 joining the rule's (kind, multiplicity) runs, so a level costs O(rule
 runs) Python steps plus memcpy, however many nodes it holds.  Step i
 builds only the kinds found on levels 0..depth-i, so each string is a
-stretch of some level and the node cap bounds memory; ``expand`` stays
-as the per-node view.
+stretch of some level and the node cap bounds memory.
+
+Navigation costs two bisects per lookup: one over the level offsets to
+locate the id, one over the level above's child prefix sums to find the
+parent; the children are a range read off the node's own level.  The
+prefix sums of a level are built the first time a lookup needs them and
+kept as an ``array('q')`` of the level's length plus one, 8 bytes per
+navigated node.  ``to_dot`` writes fixed-size slices of each level and
+fills no table, so its memory does not grow with the tree.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
-from typing import TextIO
+from operator import index
+from typing import NamedTuple, TextIO
 
 from .errors import CapExceeded, InvalidNodeCap, TooFewLevels
 from .polyint import degree, normalize
@@ -48,15 +57,6 @@ def node_cap() -> int:
         ) from None
 
 
-def expand(kind: Region, system: SplittingSystem) -> list[Region]:
-    """Ordered children of one node: fans left to right, trailing region last."""
-    rule = system.rule(kind)
-    out: list[Region] = []
-    for child, mult in rule.children:
-        out.extend([child] * mult)
-    return out
-
-
 def _level_vectors(system: SplittingSystem):
     """Exact per-kind node counts of levels 0, 1, 2, ..., as the seed row
     times successive matrix powers."""
@@ -73,10 +73,6 @@ def kind_counts(system: SplittingSystem, depth: int) -> list[tuple[int, ...]]:
     return list(islice(_level_vectors(system), depth + 1))
 
 
-def predicted_total(system: SplittingSystem, depth: int) -> int:
-    return sum(sum(v) for v in kind_counts(system, depth))
-
-
 def max_depth_within_cap(system: SplittingSystem, cap: int | None = None) -> int:
     """Largest depth whose full tree stays within the node cap."""
     cap = node_cap() if cap is None else cap
@@ -89,9 +85,12 @@ def max_depth_within_cap(system: SplittingSystem, cap: int | None = None) -> int
             return depth - 1
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of the finished tree, fully resolved."""
+class TreeNode(NamedTuple):
+    """One node of the finished tree, fully resolved.
+
+    An immutable, hashable tuple of its fields.  Being a NamedTuple, it
+    also equals the plain tuple ``(id, kind, level, parent, children)``.
+    """
 
     id: int
     kind: Region
@@ -100,19 +99,28 @@ class TreeNode:
     children: tuple[int, ...]
 
 
+#: Builds a TreeNode from a tuple of its fields in C; the NamedTuple's
+#: own __new__ is a Python function and costs twice as much per node.
+_new_node = tuple.__new__
+
+
 @dataclass
 class SpanningTree:
     """Immutable once generated; per-level navigation tables are cached.
 
     Equality compares the system, depth and levels only: the derived
-    offsets and the tables that navigation fills in are left out.
+    offsets, child counts and the tables that navigation fills in are
+    left out.
     """
 
     system: SplittingSystem
     depth: int
     levels: tuple[bytes, ...]
     _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _prefix_cache: dict[int, list[int]] = field(
+    #: children of one node of each region code; a list, because mapping
+    #: a level through list.__getitem__ costs half of tuple.__getitem__
+    _sons: list[int] = field(init=False, repr=False, compare=False)
+    _prefix_cache: dict[int, array] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -121,6 +129,9 @@ class SpanningTree:
         for lv in self.levels:
             starts.append(starts[-1] + len(lv))
         self._offsets = tuple(starts)
+        self._sons = [0] * len(REGION_ORDER)
+        for kind in self.system.regions:
+            self._sons[_CODE[kind]] = self.system.rule(kind).child_total
 
     @property
     def size(self) -> int:
@@ -129,58 +140,51 @@ class SpanningTree:
     def level_counts(self) -> list[int]:
         return [len(lv) for lv in self.levels]
 
-    def kind_of(self, node_id: int) -> Region:
-        n, i = self._locate(node_id)
-        return REGION_ORDER[self.levels[n][i]]
-
-    def _locate(self, node_id: int) -> tuple[int, int]:
-        """(level, index within the level) of a node id."""
-        if not 1 <= node_id <= self.size:
-            raise KeyError(f"node id {node_id} out of range 1..{self.size}")
-        n = bisect_right(self._offsets, node_id) - 1
-        return n, node_id - self._offsets[n]
-
-    def _child_counts(self) -> dict[int, int]:
-        return {
-            _CODE[k]: self.system.rule(k).child_total for k in self.system.regions
-        }
-
-    def _prefix(self, level: int) -> list[int]:
+    def _prefix(self, level: int) -> array:
         """prefix[i] = children spawned by nodes 0..i-1 of this level."""
-        cached = self._prefix_cache.get(level)
-        if cached is None:
-            sizes = self._child_counts()
-            cached = [0] + list(accumulate(sizes[c] for c in self.levels[level]))
-            self._prefix_cache[level] = cached
-        return cached
+        table = self._prefix_cache.get(level)
+        if table is None:
+            sons = map(self._sons.__getitem__, self.levels[level])
+            sums = accumulate(sons, initial=0)
+            # copied once: an array grown from an iterator keeps spare room
+            table = self._prefix_cache[level] = array("q", array("q", sums))
+        return table
 
-    def _children(self, n: int, i: int) -> tuple[int, ...]:
-        if n == self.depth:
-            return ()
-        prefix = self._prefix(n)
-        start = self._offsets[n + 1]
-        return tuple(range(start + prefix[i], start + prefix[i + 1]))
-
-    def _parent(self, n: int, i: int) -> int | None:
-        if n == 0:
-            return None
-        return self._offsets[n - 1] + bisect_right(self._prefix(n - 1), i) - 1
-
-    def children_of(self, node_id: int) -> tuple[int, ...]:
-        return self._children(*self._locate(node_id))
+    def kind_of(self, node_id: int) -> Region:
+        return self.node(node_id).kind
 
     def parent_of(self, node_id: int) -> int | None:
-        return self._parent(*self._locate(node_id))
+        return self.node(node_id).parent
+
+    def children_of(self, node_id: int) -> tuple[int, ...]:
+        return self.node(node_id).children
 
     def node(self, node_id: int) -> TreeNode:
-        n, i = self._locate(node_id)
-        return TreeNode(
-            id=node_id,
-            kind=REGION_ORDER[self.levels[n][i]],
-            level=n,
-            parent=self._parent(n, i),
-            children=self._children(n, i),
-        )
+        """The node with this id, located once: one bisect over the level
+        offsets places it, one over the level above's prefix sums finds
+        its parent, and its children are a range on the next level.
+
+        The id goes through operator.index, so an id that is not an
+        integer raises TypeError; one out of range raises KeyError.
+        """
+        node_id = index(node_id)
+        offsets = self._offsets
+        if not 0 < node_id < offsets[-1]:
+            raise KeyError(f"node id {node_id} out of range 1..{self.size}")
+        n = bisect_right(offsets, node_id) - 1
+        i = node_id - offsets[n]
+        if n:
+            parent = offsets[n - 1] + bisect_right(self._prefix(n - 1), i) - 1
+        else:
+            parent = None
+        if n < self.depth:
+            prefix = self._prefix(n)
+            start = offsets[n + 1]
+            children = tuple(range(start + prefix[i], start + prefix[i + 1]))
+        else:
+            children = ()
+        kind = REGION_ORDER[self.levels[n][i]]
+        return _new_node(TreeNode, (node_id, kind, n, parent, children))
 
     def nodes(self):
         """All nodes in breadth-first id order."""
@@ -274,27 +278,37 @@ def recurrence_check(counts: list[int], poly: tuple[int, ...]) -> bool:
     return True
 
 
+#: Most DOT lines that ``to_dot`` formats before writing them out.
+DOT_SLICE = 1 << 16
+
+
 def to_dot(tree: SpanningTree, out: TextIO) -> None:
     """Write the DOT rendering to out: one node per line, then the parent
     edges, then the closing brace and a newline.
 
-    Written a level at a time from the level strings, so no more than
-    one level's text is held at once: a level's ids run consecutively
-    from its offset, and its nodes' children are the ids of the next
-    level in order, each parent repeated once per child.
+    Written in slices of at most DOT_SLICE lines, so the text held at
+    once does not grow with the tree, and no navigation table is built.
+    A level's ids run consecutively from its offset, and the edges into
+    level n+1 pair that level's ids, in order, with a running stream of
+    level n's ids, each repeated once per child.
     """
     offsets = tree._offsets
-    counts = tree._child_counts()
     out.write("digraph spanning_tree {")
     for n, level in enumerate(tree.levels):
-        ids = range(offsets[n], offsets[n + 1])
         labels = [f'[label="{kind.label}/{n}"];' for kind in REGION_ORDER]
-        out.write("\n")
-        out.write("\n".join(map("  {} {}".format, ids, map(labels.__getitem__, level))))
+        for s in range(0, len(level), DOT_SLICE):
+            chunk = level[s : s + DOT_SLICE]
+            ids = range(offsets[n] + s, offsets[n] + s + len(chunk))
+            out.write("\n")
+            lines = map("  {} {}".format, ids, map(labels.__getitem__, chunk))
+            out.write("\n".join(lines))
+    sons = tree._sons.__getitem__
     for n, level in enumerate(tree.levels[:-1]):
         ids = range(offsets[n], offsets[n + 1])
-        parents = chain.from_iterable(map(repeat, ids, map(counts.__getitem__, level)))
-        children = range(offsets[n + 1], offsets[n + 2])
-        out.write("\n")
-        out.write("\n".join(map("  {} -> {};".format, parents, children)))
+        parents = chain.from_iterable(map(repeat, ids, map(sons, level)))
+        for c in range(offsets[n + 1], offsets[n + 2], DOT_SLICE):
+            children = range(c, min(c + DOT_SLICE, offsets[n + 2]))
+            out.write("\n")
+            lines = map("  {} -> {};".format, islice(parents, len(children)), children)
+            out.write("\n".join(lines))
     out.write("\n}\n")

@@ -2,11 +2,13 @@
 
 import io
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from hypq import tree as tree_mod
 from hypq.dual import fibonacci_tree
 from hypq.errors import (
     CapExceeded,
@@ -22,19 +24,18 @@ from hypq.schlafli import (
     validate,
 )
 from hypq.tree import (
-    expand,
+    TreeNode,
     generate,
     kind_counts,
     max_depth_within_cap,
     node_cap,
-    predicted_total,
     recurrence_check,
     recurrence_coefficients,
     to_dot,
 )
 from hypq.verify import EVEN_PAIRS, ODD_PAIRS
 from sweep_sample import SWEEP_SAMPLE
-from tree_oracle import four_lookup_node, per_node_levels
+from tree_oracle import ListPrefixNavigation, expand, per_node_levels, predicted_total
 
 FIVE_FOUR = build_system(validate(5, 4), Scheme.EVEN_Q)
 FIVE_SEVEN_V1 = build_system(validate(5, 7), Scheme.ODD_V1)
@@ -239,22 +240,93 @@ WALK_CASES = (
 )
 
 
-def test_node_equals_the_four_lookup_view():
+def _assert_navigation_equals_the_oracle(tree, ids):
+    oracle = ListPrefixNavigation(tree)
+    for node_id in ids:
+        want = oracle.node(node_id)
+        node = tree.node(node_id)
+        assert type(node) is TreeNode
+        assert (node.id, node.kind, node.level, node.parent, node.children) == want
+        assert tree.kind_of(node_id) is want[1]
+        assert tree.parent_of(node_id) == want[3]
+        assert tree.children_of(node_id) == want[4]
+
+
+def test_navigation_equals_the_list_prefix_oracle():
     trees = list(_small_desk_trees())
     assert len(trees) == 460
     for tree in trees:
-        for node_id in range(1, tree.size + 1):
-            assert tree.node(node_id) == four_lookup_node(tree, node_id)
+        _assert_navigation_equals_the_oracle(tree, range(1, tree.size + 1))
+        oracle = ListPrefixNavigation(tree)
+        assert list(tree.nodes()) == [oracle.node(i) for i in range(1, tree.size + 1)]
     rng = random.Random(10)
     for p, q, scheme in WALK_CASES:
         system = build_system(validate(p, q), scheme)
         tree = generate(system, max_depth_within_cap(system, 10**5), cap=10**5)
-        for node_id in (rng.randint(1, tree.size) for _ in range(2000)):
-            assert tree.node(node_id) == four_lookup_node(tree, node_id)
+        _assert_navigation_equals_the_oracle(
+            tree, [rng.randint(1, tree.size) for _ in range(2000)]
+        )
         for bad in (0, tree.size + 1):
             for lookup in (tree.node, tree.kind_of, tree.parent_of, tree.children_of):
                 with pytest.raises(KeyError):
                     lookup(bad)
+    # 298 and 297 sons a node: child counts that do not fit in a byte
+    tree = generate(build_system(validate(300, 4), Scheme.EVEN_Q), 2)
+    assert max(tree.level_counts()) > 256**2
+    _assert_navigation_equals_the_oracle(
+        tree, [rng.randint(1, tree.size) for _ in range(2000)]
+    )
+
+
+def test_navigation_tables_hold_eight_bytes_a_node():
+    tree = generate(FIVE_FOUR, 13)
+    assert tree.size == 514228
+    tracemalloc.start()
+    try:
+        for start in tree._offsets[:-1]:
+            tree.node(start)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = tree._prefix_cache
+    assert sorted(tables) == list(range(tree.depth))
+    navigated = sum(len(tree.levels[n]) for n in tables)
+    # one entry past each level's end, the array headers and the dict
+    bound = 8 * navigated + 256 * (tree.depth + 1)
+    assert sum(map(sys.getsizeof, tables.values())) <= bound
+    assert held <= bound
+
+
+class _Index:
+    def __index__(self):
+        return 3
+
+
+def test_node_ids_go_through_operator_index():
+    tree = generate(FIVE_FOUR, 3)
+    for lookup in (tree.node, tree.kind_of, tree.parent_of, tree.children_of):
+        for bad in (1.5, 2.0, "3", None):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                lookup(bad)
+    root = tree.node(True)
+    assert root == tree.node(1) and type(root.id) is int
+    assert tree.node(_Index()) == tree.node(3)
+    assert type(tree.node(_Index()).id) is int
+
+
+def test_tree_node_is_an_immutable_hashable_tuple():
+    tree = generate(FIVE_SEVEN_V1, 3)
+    node = tree.node(5)
+    with pytest.raises(AttributeError):
+        node.parent = 7
+    with pytest.raises(TypeError):
+        node[0] = 7
+    assert node == tree.node(5) and node is not tree.node(5)
+    assert hash(node) == hash(tree.node(5))
+    assert len({tree.node(i) for i in (1, 5, 5, 1, 6)}) == 3
+    # a NamedTuple equals the plain tuple of its fields
+    assert node == tuple(node) == ListPrefixNavigation(tree).node(5)
+    assert node != tree.node(6)
 
 
 def test_max_depth_within_cap():
@@ -320,6 +392,37 @@ def _node_by_node_dot(tree):
             lines.append(f"  {node.id} -> {child};")
     lines.append("}")
     return "\n".join(lines)
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+
+def test_to_dot_slices_leave_the_text_and_bound_the_memory(monkeypatch):
+    trees = [
+        generate(build_system(validate(12, 13), Scheme.ODD_V1), 2),
+        generate(FIVE_FOUR, 6),
+    ]
+    whole = [_dot(tree) for tree in trees]
+    for size in (1, 2, 7, 100):
+        monkeypatch.setattr(tree_mod, "DOT_SLICE", size)
+        assert [_dot(tree) for tree in trees] == whole
+    # the peak is one slice's text, however many nodes a level holds:
+    # written a level at a time, the depth-11 tree (last level 46368
+    # nodes) would peak about 7x higher than the depth-9 one (6765)
+    monkeypatch.setattr(tree_mod, "DOT_SLICE", 1000)
+    peaks = []
+    for depth in (9, 11):
+        tree = generate(FIVE_FOUR, depth)
+        tracemalloc.start()
+        try:
+            to_dot(tree, _Sink())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+    assert not tree._prefix_cache
 
 
 def test_to_dot_matches_the_node_walk():
