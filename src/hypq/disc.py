@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PrecisionExhausted
 from .schlafli import SchlafliPair
@@ -27,11 +28,16 @@ GEOM_TOL = 1e-9
 
 
 def hyp_distance(u: complex, v: complex) -> float:
-    """Hyperbolic distance between two points of the open disc."""
+    """Hyperbolic distance between two points of the open disc.
+
+    cosh d = 1 + 2 |u - v|^2 / ((1 - |u|^2)(1 - |v|^2)), written as
+    sinh(d/2) = |u - v| / sqrt((1 - |u|^2)(1 - |v|^2)), so that nearby
+    points keep their distance: through acosh, points 1e-9 apart
+    measured 0 (1 + 2e-18 rounds to 1).
+    """
     du = 1.0 - abs(u) ** 2
     dv = 1.0 - abs(v) ** 2
-    x = 1.0 + 2.0 * abs(u - v) ** 2 / (du * dv)
-    return math.acosh(max(1.0, x))
+    return 2.0 * math.asinh(abs(u - v) / math.sqrt(du * dv))
 
 
 @dataclass(frozen=True)
@@ -175,16 +181,6 @@ class Geodesic:
     radius: float
     direction: complex
 
-    @staticmethod
-    def arc(center: complex) -> "Geodesic":
-        """The arc about center; see _arc_radius for a center inside the
-        unit circle."""
-        return Geodesic(center, _arc_radius(center), 0j)
-
-    @property
-    def is_diameter(self) -> bool:
-        return self.center is None
-
     def to_axis(self) -> Isometry:
         """An isometry carrying this geodesic onto the real diameter."""
         if self.center is None:
@@ -205,7 +201,10 @@ class Geodesic:
         return abs(self.signed_distance(z)) < tol
 
     def reflection(self) -> Isometry:
-        return Isometry(*_mirror(self.center, self.radius, self.direction), anti=True)
+        c = self.center
+        if c is None:
+            return Isometry(self.direction**2, 0, 0, 1, anti=True)
+        return Isometry(c, self.radius**2 - abs(c) ** 2, 1, -c.conjugate(), anti=True)
 
     def ideal_endpoints(self) -> tuple[complex, complex]:
         """The two boundary points of the line, as unit complex numbers."""
@@ -216,64 +215,48 @@ class Geodesic:
         return cmath.exp(1j * (phi - spread)), cmath.exp(1j * (phi + spread))
 
 
-def _arc_center(z1: complex, z2: complex) -> complex | None:
-    """Center of the circle through z1 and z2 orthogonal to the unit circle.
+def _arc(
+    z1: complex, m1: float, z2: complex, m2: float
+) -> tuple[complex, float] | None:
+    """Center and radius of the circle through z1 and z2 orthogonal to
+    the unit circle, given m = (|z|^2 + 1)/2 of each point.
 
     Solves 2 Re(conj(z) c) = |z|^2 + 1 for c; None when the determinant
     vanishes, i.e. the points are collinear with the origin and their
-    line is a diameter.
+    line is a diameter.  A center inside the unit circle means the solve
+    lost all precision (two points hugging the boundary), which raises
+    PrecisionExhausted.  Lines and tile mirrors are solved here; the SVG
+    path loop of render repeats this arithmetic in place, once per
+    drawn arc.
     """
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
     det = x1 * y2 - y1 * x2
     if abs(det) < 1e-13:
         return None
-    r1 = (abs(z1) ** 2 + 1.0) / 2.0
-    r2 = (abs(z2) ** 2 + 1.0) / 2.0
-    return complex((r1 * y2 - r2 * y1) / det, (r2 * x1 - r1 * x2) / det)
-
-
-def _arc_radius(center: complex) -> float:
-    """Radius of the orthogonal circle about center; a center inside the
-    unit circle means the solve for it lost all precision (two points
-    hugging the boundary)."""
+    center = complex((m1 * y2 - m2 * y1) / det, (m2 * x1 - m1 * x2) / det)
     mod2 = abs(center) ** 2
     if mod2 <= 1.0:
         raise PrecisionExhausted(
             "arc center must lie outside the unit circle; "
             "double precision ran out near the boundary"
         )
-    return math.sqrt(mod2 - 1.0)
+    return center, math.sqrt(mod2 - 1.0)
 
 
 def _line_through(z1: complex, z2: complex) -> tuple[complex | None, float, complex]:
     """The fields (center, radius, direction) of geodesic_through(z1, z2)."""
     if z1 == z2:
         raise ValueError("two distinct points are needed")
-    center = _arc_center(z1, z2)
-    if center is None:
+    arc = _arc(z1, (abs(z1) ** 2 + 1.0) / 2.0, z2, (abs(z2) ** 2 + 1.0) / 2.0)
+    if arc is None:
         d = z2 - z1
         return None, 0.0, d / abs(d)
-    return center, _arc_radius(center), 0j
+    return arc[0], arc[1], 0j
 
 
 def geodesic_through(z1: complex, z2: complex) -> Geodesic:
     """The unique geodesic through two distinct points."""
     return Geodesic(*_line_through(z1, z2))
-
-
-def _mirror(center: complex | None, radius: float, direction: complex) -> tuple:
-    """Coefficients (a, b, c, d) of the reflection in a line given by its
-    Geodesic fields: z -> (a w + b)/(c w + d) with w = conj(z)."""
-    if center is None:
-        return direction**2, 0, 0, 1
-    return center, radius**2 - abs(center) ** 2, 1, -center.conjugate()
-
-
-def _anti_map(m: tuple, z: complex) -> complex:
-    """Image of z under the anti-Mobius map with coefficients m."""
-    a, b, c, d = m
-    w = z.conjugate()
-    return (a * w + b) / (c * w + d)
 
 
 def _axis_distance(axis: Isometry, z: complex) -> float:
@@ -287,14 +270,15 @@ def _axis_distance(axis: Isometry, z: complex) -> float:
 # Tiles
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """A cell of the tessellation; vertices counter-clockwise.
 
-    The hyperbolic center rides along through reflections, which gives a
-    stable dedup key without recomputing centroids.  Edge i joins
-    vertices i and i+1; a reflected tile is built so that its edge 0 is
-    the shared edge with its parent.
+    An immutable, hashable tuple of its fields: being a NamedTuple, a
+    Tile equals the plain tuple ``(id, vertices, center, generation,
+    parent, parent_edge)``.  The hyperbolic center rides along through
+    reflections, which gives a stable dedup key without recomputing
+    centroids.  Edge i joins vertices i and i+1; a reflected tile is
+    built so that its edge 0 is the shared edge with its parent.
     """
 
     id: int
@@ -314,12 +298,10 @@ class Tile:
     def edge_geodesic(self, i: int) -> Geodesic:
         return geodesic_through(*self.edge(i))
 
-    def edge_midpoint(self, i: int) -> complex:
-        return hyp_midpoint(*self.edge(i))
 
-    def interior_angle(self, k: int) -> float:
-        v = self.vertices[k]
-        return angle_at(v, self.vertices[k - 1], self.vertices[(k + 1) % self.p])
+#: Builds a Tile from a tuple of its fields in C; the NamedTuple's own
+#: __new__ is a Python function.
+_new_tile = tuple.__new__
 
 
 def base_tile(pair: SchlafliPair) -> Tile:
@@ -338,13 +320,28 @@ def reflect_tile(tile: Tile, edge_index: int, new_id: int) -> Tile:
 
 
 def _edge_mirror(tile: Tile, edge_index: int) -> tuple[tuple, complex]:
-    """The reflection in one edge of a tile, as _mirror coefficients,
-    and the image of the tile's center under it.  The same floats as
-    tile.edge_geodesic(edge_index).reflection(), with no object built."""
+    """The reflection in one edge of a tile, as anti-Mobius coefficients
+    (a, b, c, d) of z -> (a w + b)/(c w + d) with w = conj(z), and the
+    image of the tile's center under it.
+
+    The same floats as tile.edge_geodesic(edge_index).reflection() and
+    its call on the center, in one body: the line solve, the mirror
+    coefficients and the image, with only the arc solve called.
+    """
     verts = tile.vertices
     z1, z2 = verts[edge_index], verts[(edge_index + 1) % len(verts)]
-    mirror = _mirror(*_line_through(z1, z2))
-    return mirror, _anti_map(mirror, tile.center)
+    if z1 == z2:
+        raise ValueError("two distinct points are needed")
+    arc = _arc(z1, (abs(z1) ** 2 + 1.0) / 2.0, z2, (abs(z2) ** 2 + 1.0) / 2.0)
+    if arc is None:
+        d = z2 - z1
+        mirror = ((d / abs(d)) ** 2, 0, 0, 1)
+    else:
+        center, radius = arc
+        mirror = (center, radius**2 - abs(center) ** 2, 1, -center.conjugate())
+    a, b, c, d = mirror
+    w = tile.center.conjugate()
+    return mirror, (a * w + b) / (c * w + d)
 
 
 def _mirrored_tile(
@@ -360,13 +357,15 @@ def _mirrored_tile(
     a, b, c, d = mirror
     verts = tile.vertices
     k = (edge_index + 1) % len(verts)
-    conj = [v.conjugate() for v in verts[k::-1] + verts[:k:-1]]
-    # The same operations as _anti_map, with the coefficients unpacked once.
-    return Tile(
-        id=new_id,
-        vertices=tuple([(a * w + b) / (c * w + d) for w in conj]),
-        center=center,
-        generation=tile.generation + 1,
-        parent=tile.id,
-        parent_edge=edge_index,
+    conj = map(complex.conjugate, verts[k::-1] + verts[:k:-1])
+    return _new_tile(
+        Tile,
+        (
+            new_id,
+            tuple([(a * w + b) / (c * w + d) for w in conj]),
+            center,
+            tile.generation + 1,
+            tile.id,
+            edge_index,
+        ),
     )

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .disc import GEOM_TOL, Geodesic, Tile, geodesic_through
+from .disc import GEOM_TOL, Geodesic, Tile, _axis_distance, geodesic_through
 from .errors import InsufficientTessellationDepth, NoFatherEdge
 from .schlafli import Region, SchlafliPair, Scheme, build_system, validate
 from .tiling import Tessellation, tessellate
@@ -243,13 +243,15 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
     sector = pentagrid_sector(depth, p)
     tess = sector.tessellation
     head = sector.nodes[1].tile
-    s_left = 1.0 if sector.left.signed_distance(head.center) > 0 else -1.0
-    s_right = 1.0 if sector.right.signed_distance(head.center) > 0 else -1.0
+    # signed distances to the delimiting lines, each line's axis map built once
+    left, right = sector.left.to_axis(), sector.right.to_axis()
+    s_left = 1.0 if _axis_distance(left, head.center) > 0 else -1.0
+    s_right = 1.0 if _axis_distance(right, head.center) > 0 else -1.0
 
     def member(tile: Tile) -> bool:
         return (
-            s_left * sector.left.signed_distance(tile.center) > GEOM_TOL
-            and s_right * sector.right.signed_distance(tile.center) > GEOM_TOL
+            s_left * _axis_distance(left, tile.center) > GEOM_TOL
+            and s_right * _axis_distance(right, tile.center) > GEOM_TOL
         )
 
     member_ids = {t.id for t in tess.tiles if member(t)}
@@ -285,7 +287,7 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
             continue
         if tids <= explored:
             excluded.append(key)
-            worst = max(worst, abs(sector.right.signed_distance(z)))
+            worst = max(worst, abs(_axis_distance(right, z)))
         else:
             missed.append(key)
     return BijectionReport(

@@ -2,15 +2,16 @@
 
 A scene is plain data: a dict with the four keys ``tiles``,
 ``geodesics``, ``sectors`` and ``labels`` (each a list, all optional),
-point coordinates as [x, y] pairs.  The command line passes scenes
-through JSON unchanged, so everything here must stay serializable.
-Builders at the bottom of the module produce scenes from the geometric
-objects; ``render_svg`` only turns a scene into text.
+point coordinates as [x, y] pairs, so that a scene is JSON-serializable
+as it stands.  Builders at the bottom of the module produce scenes from
+the geometric objects; ``render_svg`` only turns a scene into text.
 
 Geodesic segments become single circular-arc path commands: the circle
-through two disc points orthogonal to the unit circle is recovered with
-the arc-center solve that ``geodesic_through`` uses, without building a
-``Geodesic``, and the arc is always the minor one.  The output
+through two disc points orthogonal to the unit circle is solved with the
+arithmetic of ``geodesic_through``, without building a ``Geodesic``,
+and the arc is always the minor one.  One loop writes both segments and
+polygons; it solves each arc in place and reads each point's
+(|z|^2 + 1)/2 once, for both arcs that meet there.  The output
 is deterministic: fixed 6-decimal coordinates, items emitted in input
 order, no dependence on anything outside the scene and style dicts.
 The vertical axis is flipped on emission so the mathematical
@@ -29,8 +30,7 @@ import cmath
 import math
 from xml.sax.saxutils import escape
 
-from .disc import Tile, _arc_center, _arc_radius, base_tile
-from .errors import PrecisionExhausted
+from .disc import Tile, base_tile
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import Region, SchlafliPair, Scheme
 from .sectors import Ray, SectorBoundary, cover
@@ -77,48 +77,61 @@ _ARC_CCW = "A %.6f %.6f 0 0 0 %.6f %.6f"
 _ARC_CW = "A %.6f %.6f 0 0 1 %.6f %.6f"
 
 
-def _arc_piece(a: complex, b: complex, values: list) -> str:
-    """The path command from a to b along their common geodesic, as a
-    printf piece; its values are appended to values."""
-    center = _arc_center(a, b)
-    if center is not None:
-        try:
-            r = _arc_radius(center)
-        except PrecisionExhausted:
-            # Both endpoints hug the boundary and the center solve loses
-            # all precision; at that scale the chord is indistinguishable.
-            center = None
-    if center is None:
-        values += (b.real, -b.imag)
-        return _LINE
-    values += (r, r, b.real, -b.imag)
-    cross = ((a - center).conjugate() * (b - center)).imag
-    return _ARC_CCW if cross > 0 else _ARC_CW
+def _path(points: list[complex], close: bool) -> str:
+    """The path through at least two points along their geodesics, back
+    to the first point when close; a step shorter than _DEGENERATE is
+    dropped.
 
-
-def _format_path(pieces: list[str], values: list) -> str:
+    Each arc is solved in the loop with the arithmetic of disc._arc, so
+    a drawn arc is its geodesic to the bit, and each point's
+    m = (|z|^2 + 1)/2 is computed once for the two arcs that meet there.
+    """
+    halves = [(abs(z) ** 2 + 1.0) / 2.0 for z in points]
+    a, ma = points[0], halves[0]
+    x1, y1 = a.real, a.imag
+    values = [x1, -y1]
+    pieces = [_MOVE]
+    if close:
+        ends = zip(points[1:] + points[:1], halves[1:] + halves[:1])
+    else:
+        ends = zip(points[1:], halves[1:])
+    for b, mb in ends:
+        x2, y2 = b.real, b.imag
+        if not abs(a - b) < _DEGENERATE:
+            det = x1 * y2 - y1 * x2
+            mod2 = 0.0  # a diameter is drawn as its chord
+            if not abs(det) < 1e-13:
+                cx = (ma * y2 - mb * y1) / det
+                cy = (mb * x1 - ma * x2) / det
+                mod2 = abs(complex(cx, cy)) ** 2
+            if mod2 <= 1.0:
+                # Also a center that solves inside the disc: both
+                # endpoints hug the boundary and the solve loses all
+                # precision; at that scale the chord is indistinguishable.
+                values += (x2, -y2)
+                pieces.append(_LINE)
+            else:
+                r = math.sqrt(mod2 - 1.0)
+                values += (r, r, x2, -y2)
+                # Im(conj(a - c) (b - c)), the turn about the center
+                cross = (x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)
+                pieces.append(_ARC_CCW if cross > 0 else _ARC_CW)
+        a, ma, x1, y1 = b, mb, x2, y2
+    if close:
+        pieces.append("Z")
     return (" ".join(pieces) % tuple(values)).replace("-0.000000", "0.000000")
 
 
 def _segment_path(a: complex, b: complex) -> str | None:
     if abs(a - b) < _DEGENERATE:
         return None
-    values = [a.real, -a.imag]
-    return _format_path([_MOVE, _arc_piece(a, b, values)], values)
+    return _path([a, b], close=False)
 
 
 def _polygon_path(points: list[complex]) -> str | None:
     if len(points) < 2:
         return None
-    a = points[0]
-    values = [a.real, -a.imag]
-    pieces = [_MOVE]
-    for b in points[1:] + points[:1]:
-        if not abs(a - b) < _DEGENERATE:
-            pieces.append(_arc_piece(a, b, values))
-        a = b
-    pieces.append("Z")
-    return _format_path(pieces, values)
+    return _path(points, close=True)
 
 
 def render_svg(scene: dict, style: dict | None = None) -> str:

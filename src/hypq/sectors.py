@@ -384,10 +384,6 @@ class RingReport:
     max_hits: int
     uncovered: int
 
-    @property
-    def exact_partition(self) -> bool:
-        return self.uncovered == 0 and self.min_hits == 1 and self.max_hits == 1
-
 
 def ring_partition(
     sectors: list[SectorBoundary],

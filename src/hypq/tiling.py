@@ -6,10 +6,11 @@ hyperbolic center (carried through each reflection), quantized on a
 grid of step 2*DEDUP_TOL, so that a lookup probes only the 2x2 grid
 cells that can hold a point within the tolerance (see SpatialIndex):
 reflection chains at desk depth keep centers far better separated
-than the dedup tolerance, which the closure tests confirm.  A candidate
-is probed by its reflected center alone; its vertices are mapped and the
-tile built only when that center is new, which at {7,3} is under half
-the candidates.
+than the dedup tolerance, which the closure tests confirm.  Each
+candidate costs one probe: its reflected center goes through
+SpatialIndex.find_or_insert, which stores the center when it is new,
+and only then are the vertices mapped and the tile built, which at
+{7,3} is under half the candidates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .disc import Tile, _edge_mirror, _mirrored_tile, base_tile
-from .errors import CapExceeded, InsufficientTessellationDepth, PrecisionExhausted
+from .errors import CapExceeded, PrecisionExhausted
 from .schlafli import SchlafliPair
 
 #: Euclidean tolerance identifying two copies of the same cell or vertex.
@@ -40,31 +41,48 @@ class SpatialIndex:
     In the tessellations of {5,4}, {4,5}, {6,4}, {5,7}, {7,3}, {8,3}
     and {8,8} up to 9 generations, no center or vertex lies between
     tol/20 and 2*tol of another, so none comes near that edge.
+
+    The grid is a dict of columns, each a dict from row to the tuple of
+    (point, payload) pairs stored in that cell, so that a probe hashes
+    plain ints and builds no key tuples.  Cells are scanned column by
+    column, and among points at exactly the same distance the first
+    scanned wins.
     """
 
     def __init__(self, tol: float = DEDUP_TOL):
         self.tol = tol
         self._step = 2.0 * tol
-        self._grid: dict[tuple[int, int], list[tuple[complex, int]]] = {}
+        self._columns: dict[int, dict[int, tuple[tuple[complex, int], ...]]] = {}
 
     def find(self, z: complex) -> int | None:
+        """The payload of the nearest stored point within tol of z."""
         step = self._step
         x0 = math.floor(z.real / step - 0.5)
         y0 = math.floor(z.imag / step - 0.5)
-        get = self._grid.get
+        get = self._columns.get
         best = None
         best_d = self.tol
-        for cell in ((x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)):
-            for w, payload in get(cell, ()):
-                d = abs(z - w)
-                if d < best_d:
-                    best, best_d = payload, d
+        for column in (get(x0), get(x0 + 1)):
+            if column:
+                for w, payload in column.get(y0, ()) + column.get(y0 + 1, ()):
+                    d = abs(z - w)
+                    if d < best_d:
+                        best, best_d = payload, d
+        return best
+
+    def find_or_insert(self, z: complex, payload: int) -> int | None:
+        """find(z); on a miss, z is also stored under payload.  This is
+        the one probe a deduplicated point costs."""
+        best = self.find(z)
+        if best is None:
+            self.insert(z, payload)
         return best
 
     def insert(self, z: complex, payload: int) -> None:
         step = self._step
-        cell = math.floor(z.real / step), math.floor(z.imag / step)
-        self._grid.setdefault(cell, []).append((z, payload))
+        column = self._columns.setdefault(math.floor(z.real / step), {})
+        row = math.floor(z.imag / step)
+        column[row] = column.get(row, ()) + ((z, payload),)
 
 
 @dataclass
@@ -94,15 +112,16 @@ class Tessellation:
         if self._vertex_index is not None:
             return
         index = SpatialIndex()
+        probe = index.find_or_insert
         groups: list[tuple[complex, list[int]]] = []
         for tile in self.tiles:
+            tid = tile.id
             for v in tile.vertices:
-                gid = index.find(v)
+                gid = probe(v, len(groups))
                 if gid is None:
-                    index.insert(v, len(groups))
-                    groups.append((v, [tile.id]))
+                    groups.append((v, [tid]))
                 else:
-                    groups[gid][1].append(tile.id)
+                    groups[gid][1].append(tid)
         self._vertex_index = index
         self._vertex_groups = groups
 
@@ -115,21 +134,6 @@ class Tessellation:
         self._ensure_vertices()
         return self._vertex_index.find(z)
 
-    def locate_edge(self, a: complex, b: complex) -> tuple[Tile, int]:
-        """The tile and edge index realizing the segment ab, either order."""
-        ga, gb = self.vertex_id(a), self.vertex_id(b)
-        if ga is not None and gb is not None:
-            for tid in self._vertex_groups[ga][1]:
-                tile = self.tiles[tid]
-                for i in range(tile.p):
-                    u, v = tile.edge(i)
-                    ids = {self.vertex_id(u), self.vertex_id(v)}
-                    if ids == {ga, gb}:
-                        return tile, i
-        raise InsufficientTessellationDepth(
-            f"edge not present at {self.generations} generations"
-        )
-
 
 def tessellate(
     pair: SchlafliPair, generations: int, cap: int = DEFAULT_TILE_CAP
@@ -141,6 +145,7 @@ def tessellate(
     tiles = [root]
     centers = SpatialIndex()
     centers.insert(root.center, 0)
+    probe = centers.find_or_insert
     frontier = [root]
     for gen in range(1, generations + 1):
         new_frontier = []
@@ -153,14 +158,14 @@ def tessellate(
                     raise PrecisionExhausted(
                         f"{pair}: generation {gen} after {len(tiles)} tiles: {exc}"
                     ) from exc
-                if centers.find(center) is not None:
+                n = len(tiles)
+                if probe(center, n) is not None:
                     continue
-                if len(tiles) >= cap:
+                if n >= cap:
                     raise CapExceeded(
                         f"{pair}: more than {cap} tiles at {generations} generations"
                     )
-                kept = _mirrored_tile(tile, e, mirror, center, len(tiles))
-                centers.insert(center, len(tiles))
+                kept = _mirrored_tile(tile, e, mirror, center, n)
                 tiles.append(kept)
                 new_frontier.append(kept)
         frontier = new_frontier

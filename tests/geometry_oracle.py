@@ -10,12 +10,15 @@ differing bit.
 The dedup index and the SVG path text are kept here as they were before
 hypq probed a 2x2 grid and formatted each path once: a 3x3 probe of
 tol-sized cells, and one f-string per number with its own -0 check.
+
+``locate_edge`` finds the tile edge realizing a segment, for tests that
+check a walk runs on tessellation edges.
 """
 
 import math
 
 from hypq.disc import Isometry, Tile, base_tile, point_at
-from hypq.errors import PrecisionExhausted
+from hypq.errors import InsufficientTessellationDepth, PrecisionExhausted
 
 
 class SpatialIndex:
@@ -42,6 +45,22 @@ class SpatialIndex:
 
     def insert(self, z, payload):
         self._grid.setdefault(self._cell(z), []).append((z, payload))
+
+
+def locate_edge(tess, a: complex, b: complex):
+    """The tile and edge index of a tessellation realizing the segment
+    ab, either order, by the tessellation's vertex ids."""
+    ga, gb = tess.vertex_id(a), tess.vertex_id(b)
+    if ga is not None and gb is not None:
+        for tid in tess.vertex_groups()[ga][1]:
+            tile = tess.tiles[tid]
+            for i in range(tile.p):
+                u, v = tile.edge(i)
+                if {tess.vertex_id(u), tess.vertex_id(v)} == {ga, gb}:
+                    return tile, i
+    raise InsufficientTessellationDepth(
+        f"edge not present at {tess.generations} generations"
+    )
 
 
 def line(z1, z2):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypq.disc import (
-    Geodesic,
     angle_at,
     base_tile,
     direction_toward,
@@ -21,6 +20,7 @@ from hypq.disc import (
     tile_metrics,
     translate_to,
 )
+from hypq.errors import PrecisionExhausted
 from hypq.schlafli import validate
 
 points = st.complex_numbers(
@@ -33,6 +33,9 @@ def test_hyp_distance_basics():
     # distance from the origin is 2 artanh r
     for r in (0.1, 0.5, 0.9):
         assert abs(hyp_distance(0j, r) - 2 * math.atanh(r)) < 1e-12
+    # nearby points keep their distance, 2 |dz| / (1 - |z|^2)
+    assert hyp_distance(0j, 1e-9) == pytest.approx(2e-9, rel=1e-12)
+    assert hyp_distance(0.5, 0.5 + 1e-9j) == pytest.approx(2e-9 / 0.75, rel=1e-6)
 
 
 @given(points, points)
@@ -116,12 +119,12 @@ def test_angle_at_right_angle():
 
 def test_geodesic_through_diameter_and_arc():
     d = geodesic_through(-0.5 + 0j, 0.5 + 0j)
-    assert d.is_diameter
+    assert d.center is None  # a diameter
     e1, e2 = d.ideal_endpoints()
     assert abs(abs(e1) - 1) < 1e-12 and abs(abs(e2) - 1) < 1e-12
 
     g = geodesic_through(0.5, 0.5j)
-    assert not g.is_diameter
+    assert g.center is not None  # an arc
     # orthogonality to the unit circle: |c|^2 = r^2 + 1
     assert abs(abs(g.center) ** 2 - g.radius**2 - 1) < 1e-12
     assert g.contains(0.5) and g.contains(0.5j)
@@ -164,8 +167,12 @@ def test_axis_model_of_geodesic():
 def test_geodesic_validation():
     with pytest.raises(ValueError):
         geodesic_through(0.5, 0.5)  # same point
-    with pytest.raises(ValueError):
-        Geodesic.arc(0.5 + 0j)  # center inside the unit circle
+    # two points hugging the rim: the arc center solves inside the unit
+    # circle, which is a typed precision failure, not a line
+    hug = 1.0 - 1e-12
+    near = (0.6 + 0.8j) * hug
+    with pytest.raises(PrecisionExhausted, match="outside the unit circle"):
+        geodesic_through(near, cmath.exp(1j * (cmath.phase(near) + 1e-9)) * hug)
 
 
 def test_base_tile_shape():
@@ -183,8 +190,10 @@ def test_base_tile_shape():
         for i in range(p):
             e = tile.edge(i)
             assert abs(hyp_distance(*e) - 2 * m.half_edge) < 1e-9
-            assert abs(hyp_distance(0j, tile.edge_midpoint(i)) - m.inradius) < 1e-9
-            assert abs(tile.interior_angle(i) - 2 * math.pi / q) < 1e-9
+            mid = hyp_midpoint(*e)
+            assert abs(hyp_distance(0j, mid) - m.inradius) < 1e-9
+            v, before, after = tile.vertices[i], tile.vertices[i - 1], e[1]
+            assert abs(angle_at(v, before, after) - 2 * math.pi / q) < 1e-9
         # vertices run counter-clockwise
         area = sum(
             (a.real * b.imag - a.imag * b.real)

@@ -1,7 +1,7 @@
 """Dual numbering of the {4,5} grid via its {5,4} pentagrid sectors."""
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import pytest
@@ -139,7 +139,7 @@ def test_side_numbering_follows_orientation():
     assert sorted(side_numbering(image, 3)) == [0, 1, 2, 3]
     # a hand-built clockwise tile is still numbered counter-clockwise,
     # which now runs against its list order
-    backwards = replace(tile, vertices=tuple(reversed(tile.vertices)))
+    backwards = tile._replace(vertices=tuple(reversed(tile.vertices)))
     assert side_numbering(backwards, 2) == (2, 1, 0, 3)
     with pytest.raises(NoFatherEdge):
         side_numbering(tile, None)

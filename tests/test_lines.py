@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import geometry_oracle
 from hypq.disc import angle_at, hyp_distance, hyp_midpoint, tile_metrics
 from hypq.errors import UnsupportedCase
 from hypq.lines import h_midpoint_line, zigzag_line
@@ -57,7 +58,7 @@ def test_zigzag_walks_on_tessellation_edges():
     tess = tessellate(pair, 5)
     path = zigzag_line(pair, steps=3)
     for a, b in path.edges:
-        tile, e = tess.locate_edge(a, b)
+        tile, e = geometry_oracle.locate_edge(tess, a, b)
         ea, eb = tile.edge(e)
         assert min(abs(ea - a) + abs(eb - b), abs(ea - b) + abs(eb - a)) < 1e-6
 

@@ -179,6 +179,14 @@ PINNED_SVGS = [
         lambda: dual_scene(3),
         "bc68ee0daf9765e5c01c844a708aaba28528b83624f05e434041a00410089317",
     ),
+    (
+        lambda: tessellation_scene(validate(8, 3), 5),
+        "854a89a73db027293ea8a6be7113ebf0242a7032a3c5078359b69369622fd776",
+    ),
+    (
+        lambda: midlines_scene(validate(7, 3), 6),
+        "3b245e92c8bf0a830c8be1fd5ac2b6a36babc39d4e04cec559266c3e4a4834cf",
+    ),
 ]
 
 

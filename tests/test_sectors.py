@@ -80,7 +80,7 @@ def test_cover_partitions_beyond_the_corner_zone(p, q, scheme, kind, radius):
     # design; past that zone every direction is covered exactly once
     cov = cover(validate(p, q), scheme, kind)
     rp = ring_partition(cov, cov[0].vertex, radius)
-    assert rp.exact_partition, rp
+    assert rp.uncovered == 0 and rp.min_hits == rp.max_hits == 1, rp
 
 
 def test_sectors_contain_their_witness():

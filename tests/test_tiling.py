@@ -69,13 +69,32 @@ def test_neighbor_missing_at_the_rim():
     assert missing > 0
 
 
+def test_tile_is_an_immutable_hashable_tuple():
+    tess = tessellate(validate(5, 4), 2)
+    tile = tess.tiles[7]
+    fields = (
+        tile.id, tile.vertices, tile.center,
+        tile.generation, tile.parent, tile.parent_edge,
+    )
+    assert tile == fields and tuple(tile) == fields
+    assert hash(tile) == hash(fields)
+    assert {tile: 1}[fields] == 1
+    with pytest.raises(AttributeError):
+        tile.center = 0j
+    with pytest.raises(AttributeError):
+        tile.extra = 1
+    root = tess.tiles[0]
+    assert root == (0, root.vertices, 0j, 0, None, None)
+    assert (root.parent, root.parent_edge) == (None, None)
+
+
 def test_tile_at_and_locate_edge():
     pair = validate(5, 7)
     tess = tessellate(pair, 2)
     some = tess.tiles[7]
     assert tess.tile_at(some.center).id == some.id
     assert tess.tile_at(0.9 + 0.9j) is None
-    tile, e = tess.locate_edge(*some.edge(3))
+    tile, e = geometry_oracle.locate_edge(tess, *some.edge(3))
     assert tile.edge(e) in (some.edge(3), some.edge(3)[::-1]) or (
         abs(tile.edge(e)[0] - some.edge(3)[0]) < 1e-9
         or abs(tile.edge(e)[0] - some.edge(3)[1]) < 1e-9
@@ -113,6 +132,19 @@ def test_vertex_id_is_stable():
 def test_tile_cap():
     with pytest.raises(CapExceeded):
         tessellate(validate(5, 7), 3, cap=40)
+
+
+@pytest.mark.parametrize("p,q,generations", [(7, 3, 5), (4, 5, 4), (5, 7, 3)])
+def test_cap_fires_at_the_tile_past_it(p, q, generations):
+    # the dedup probe stores a new center before the cap is checked; the
+    # cap still refuses exactly the first tile past it, by the object
+    # oracle's count
+    pair = validate(p, q)
+    full = len(geometry_oracle.tessellate(pair, generations))
+    assert len(tessellate(pair, generations, cap=full)) == full
+    msg = rf"^\{{{p},{q}\}}: more than {full - 1} tiles at {generations} generations$"
+    with pytest.raises(CapExceeded, match=msg):
+        tessellate(pair, generations, cap=full - 1)
 
 
 def test_rejects_negative_generations():
@@ -220,9 +252,10 @@ def test_find_is_the_nearest_point_within_tol(points, probe_offsets):
 @settings(max_examples=100, deadline=None)
 @given(clusters)
 def test_insert_then_find_keeps_one_point_per_tol(points):
-    # the dedup pattern of tessellate: insert only what find does not see
-    new, old = SpatialIndex(), geometry_oracle.SpatialIndex()
-    kept_new, kept_old = [], []
+    # the dedup pattern: insert only what find does not see, and its
+    # one-probe form find_or_insert, which tessellate uses
+    new, old, fused = SpatialIndex(), geometry_oracle.SpatialIndex(), SpatialIndex()
+    kept_new, kept_old, kept_fused = [], [], []
     for z in points:
         for index, kept in ((new, kept_new), (old, kept_old)):
             hit = index.find(z)
@@ -230,9 +263,15 @@ def test_insert_then_find_keeps_one_point_per_tol(points):
             if hit is None:
                 index.insert(z, len(kept))
                 kept.append(z)
-    assert kept_new == kept_old
+        hit = fused.find_or_insert(z, len(kept_fused))
+        want = _brute_find(kept_fused, z)
+        assert _distance(kept_fused, z, hit) == _distance(kept_fused, z, want)
+        if hit is None:
+            kept_fused.append(z)
+    assert kept_new == kept_old == kept_fused
     for i, z in enumerate(kept_new):
         assert new.find(z) == i
+        assert fused.find_or_insert(z, -1) == i
 
 
 def test_find_at_cell_borders_and_the_tolerance_edge():
