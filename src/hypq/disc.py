@@ -201,10 +201,7 @@ class Geodesic:
         return abs(self.signed_distance(z)) < tol
 
     def reflection(self) -> Isometry:
-        c = self.center
-        if c is None:
-            return Isometry(self.direction**2, 0, 0, 1, anti=True)
-        return Isometry(c, self.radius**2 - abs(c) ** 2, 1, -c.conjugate(), anti=True)
+        return Isometry(*_mirror(self.center, self.radius, self.direction), anti=True)
 
     def ideal_endpoints(self) -> tuple[complex, complex]:
         """The two boundary points of the line, as unit complex numbers."""
@@ -225,9 +222,8 @@ def _arc(
     vanishes, i.e. the points are collinear with the origin and their
     line is a diameter.  A center inside the unit circle means the solve
     lost all precision (two points hugging the boundary), which raises
-    PrecisionExhausted.  Lines and tile mirrors are solved here; the SVG
-    path loop of render repeats this arithmetic in place, once per
-    drawn arc.
+    PrecisionExhausted.  Lines, tile mirrors and the arcs of render's
+    SVG paths are all solved here.
     """
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
     det = x1 * y2 - y1 * x2
@@ -252,6 +248,14 @@ def _line_through(z1: complex, z2: complex) -> tuple[complex | None, float, comp
         d = z2 - z1
         return None, 0.0, d / abs(d)
     return arc[0], arc[1], 0j
+
+
+def _mirror(center: complex | None, radius: float, direction: complex) -> tuple:
+    """The reflection in the geodesic with these fields, as anti-Mobius
+    coefficients (a, b, c, d): z -> (a w + b)/(c w + d) with w = conj(z)."""
+    if center is None:
+        return direction**2, 0, 0, 1
+    return center, radius**2 - abs(center) ** 2, 1, -center.conjugate()
 
 
 def geodesic_through(z1: complex, z2: complex) -> Geodesic:
@@ -325,20 +329,11 @@ def _edge_mirror(tile: Tile, edge_index: int) -> tuple[tuple, complex]:
     image of the tile's center under it.
 
     The same floats as tile.edge_geodesic(edge_index).reflection() and
-    its call on the center, in one body: the line solve, the mirror
-    coefficients and the image, with only the arc solve called.
+    its call on the center, without building a Geodesic or an Isometry.
     """
     verts = tile.vertices
     z1, z2 = verts[edge_index], verts[(edge_index + 1) % len(verts)]
-    if z1 == z2:
-        raise ValueError("two distinct points are needed")
-    arc = _arc(z1, (abs(z1) ** 2 + 1.0) / 2.0, z2, (abs(z2) ** 2 + 1.0) / 2.0)
-    if arc is None:
-        d = z2 - z1
-        mirror = ((d / abs(d)) ** 2, 0, 0, 1)
-    else:
-        center, radius = arc
-        mirror = (center, radius**2 - abs(center) ** 2, 1, -center.conjugate())
+    mirror = _mirror(*_line_through(z1, z2))
     a, b, c, d = mirror
     w = tile.center.conjugate()
     return mirror, (a * w + b) / (c * w + d)

@@ -7,11 +7,11 @@ as it stands.  Builders at the bottom of the module produce scenes from
 the geometric objects; ``render_svg`` only turns a scene into text.
 
 Geodesic segments become single circular-arc path commands: the circle
-through two disc points orthogonal to the unit circle is solved with the
-arithmetic of ``geodesic_through``, without building a ``Geodesic``,
-and the arc is always the minor one.  One loop writes both segments and
-polygons; it solves each arc in place and reads each point's
-(|z|^2 + 1)/2 once, for both arcs that meet there.  The output
+through two disc points orthogonal to the unit circle is solved by
+``disc._arc``, the solve behind ``geodesic_through``, without building a
+``Geodesic``, and the arc is always the minor one.  One loop writes both
+segments and polygons; it reads each point's (|z|^2 + 1)/2 once, for
+both arcs that meet there.  The output
 is deterministic: fixed 6-decimal coordinates, items emitted in input
 order, no dependence on anything outside the scene and style dicts.
 The vertical axis is flipped on emission so the mathematical
@@ -30,7 +30,8 @@ import cmath
 import math
 from xml.sax.saxutils import escape
 
-from .disc import Tile, base_tile
+from .disc import Tile, _arc, base_tile
+from .errors import PrecisionExhausted
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import Region, SchlafliPair, Scheme
 from .sectors import Ray, SectorBoundary, cover
@@ -82,9 +83,9 @@ def _path(points: list[complex], close: bool) -> str:
     to the first point when close; a step shorter than _DEGENERATE is
     dropped.
 
-    Each arc is solved in the loop with the arithmetic of disc._arc, so
-    a drawn arc is its geodesic to the bit, and each point's
-    m = (|z|^2 + 1)/2 is computed once for the two arcs that meet there.
+    Each arc is solved by disc._arc, so a drawn arc is its geodesic to
+    the bit, and each point's m = (|z|^2 + 1)/2 is computed once for the
+    two arcs that meet there.
     """
     halves = [(abs(z) ** 2 + 1.0) / 2.0 for z in points]
     a, ma = points[0], halves[0]
@@ -98,20 +99,18 @@ def _path(points: list[complex], close: bool) -> str:
     for b, mb in ends:
         x2, y2 = b.real, b.imag
         if not abs(a - b) < _DEGENERATE:
-            det = x1 * y2 - y1 * x2
-            mod2 = 0.0  # a diameter is drawn as its chord
-            if not abs(det) < 1e-13:
-                cx = (ma * y2 - mb * y1) / det
-                cy = (mb * x1 - ma * x2) / det
-                mod2 = abs(complex(cx, cy)) ** 2
-            if mod2 <= 1.0:
-                # Also a center that solves inside the disc: both
-                # endpoints hug the boundary and the solve loses all
-                # precision; at that scale the chord is indistinguishable.
+            try:
+                arc = _arc(a, ma, b, mb)
+            except PrecisionExhausted:
+                # both endpoints hug the boundary; at that scale the
+                # chord is indistinguishable from the arc
+                arc = None
+            if arc is None:  # a diameter is drawn as its chord
                 values += (x2, -y2)
                 pieces.append(_LINE)
             else:
-                r = math.sqrt(mod2 - 1.0)
+                c, r = arc
+                cx, cy = c.real, c.imag
                 values += (r, r, x2, -y2)
                 # Im(conj(a - c) (b - c)), the turn about the center
                 cross = (x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)

@@ -8,9 +8,9 @@ cells that can hold a point within the tolerance (see SpatialIndex):
 reflection chains at desk depth keep centers far better separated
 than the dedup tolerance, which the closure tests confirm.  Each
 candidate costs one probe: its reflected center goes through
-SpatialIndex.find_or_insert, which stores the center when it is new,
-and only then are the vertices mapped and the tile built, which at
-{7,3} is under half the candidates.
+SpatialIndex.find_or_insert, which scans the 2x2 cells once and stores
+the center in the same pass when it is new; only then are the vertices
+mapped and the tile built, which at {7,3} is under half the candidates.
 """
 
 from __future__ import annotations
@@ -56,33 +56,38 @@ class SpatialIndex:
 
     def find(self, z: complex) -> int | None:
         """The payload of the nearest stored point within tol of z."""
+        return self.find_or_insert(z, None)
+
+    def find_or_insert(self, z: complex, payload: int | None) -> int | None:
+        """find(z); on a miss, z is also stored under payload unless
+        payload is None.  One pass: the store cell is taken from the
+        same scaled coordinates as the probe."""
         step = self._step
-        x0 = math.floor(z.real / step - 0.5)
-        y0 = math.floor(z.imag / step - 0.5)
+        u = z.real / step
+        v = z.imag / step
+        x0 = math.floor(u - 0.5)
+        y0 = math.floor(v - 0.5)
         get = self._columns.get
         best = None
         best_d = self.tol
         for column in (get(x0), get(x0 + 1)):
             if column:
-                for w, payload in column.get(y0, ()) + column.get(y0 + 1, ()):
+                for w, found in column.get(y0, ()) + column.get(y0 + 1, ()):
                     d = abs(z - w)
                     if d < best_d:
-                        best, best_d = payload, d
-        return best
-
-    def find_or_insert(self, z: complex, payload: int) -> int | None:
-        """find(z); on a miss, z is also stored under payload.  This is
-        the one probe a deduplicated point costs."""
-        best = self.find(z)
-        if best is None:
-            self.insert(z, payload)
+                        best, best_d = found, d
+        if best is None and payload is not None:
+            self._append(math.floor(u), math.floor(v), z, payload)
         return best
 
     def insert(self, z: complex, payload: int) -> None:
+        """Store z under payload, whatever is already stored near it."""
         step = self._step
-        column = self._columns.setdefault(math.floor(z.real / step), {})
-        row = math.floor(z.imag / step)
-        column[row] = column.get(row, ()) + ((z, payload),)
+        self._append(math.floor(z.real / step), math.floor(z.imag / step), z, payload)
+
+    def _append(self, x: int, y: int, z: complex, payload: int) -> None:
+        column = self._columns.setdefault(x, {})
+        column[y] = column.get(y, ()) + ((z, payload),)
 
 
 @dataclass

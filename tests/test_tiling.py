@@ -253,7 +253,7 @@ def test_find_is_the_nearest_point_within_tol(points, probe_offsets):
 @given(clusters)
 def test_insert_then_find_keeps_one_point_per_tol(points):
     # the dedup pattern: insert only what find does not see, and its
-    # one-probe form find_or_insert, which tessellate uses
+    # one-pass form find_or_insert, which tessellate uses
     new, old, fused = SpatialIndex(), geometry_oracle.SpatialIndex(), SpatialIndex()
     kept_new, kept_old, kept_fused = [], [], []
     for z in points:
@@ -272,6 +272,11 @@ def test_insert_then_find_keeps_one_point_per_tol(points):
     for i, z in enumerate(kept_new):
         assert new.find(z) == i
         assert fused.find_or_insert(z, -1) == i
+    # with payload None it only looks, as find does
+    far = 5 + 5j
+    assert fused.find_or_insert(far, None) is None
+    assert fused.find_or_insert(far, 7) is None
+    assert fused.find(far) == 7
 
 
 def test_find_at_cell_borders_and_the_tolerance_edge():
