@@ -21,20 +21,22 @@ errors as every other splitting tree.
 Sides of a tile are numbered 1..5 counter-clockwise starting at the
 side shared with the father.  Sons sit across sides 2,3,4 of a white
 tile and 3,4 of a black one; side 5 (and side 2 of a black tile) faces
-a neighbouring branch.  Each node marks one vertex of its own tile:
+a neighbouring branch.  Each son is its father mirrored in the side it
+sits across, so side k of every tile is its edge k - 1.  Each node marks
+one vertex of its own tile:
 
-    white -> the junction of sides 1 and 2
-    black -> the junction of sides 2 and 3
+    white -> the junction of sides 1 and 2, vertex 1
+    black -> the junction of sides 2 and 3, vertex 2
 
 Walking the tree marks every vertex of the sector exactly once, except
 the vertices lying on the right-hand delimiting ray (the side-5 line
-through the apex, the sector's own vertex included): those belong to
-the neighbouring sector's count.  ``check_bijection`` measures exactly
-that on a finite tree.
+through the apex, the head's vertex 0, included): those belong to the
+neighbouring sector's count.  ``check_bijection`` measures exactly that
+on a finite tree, against the cells of an independent ``tessellate``.
 
-Everything is written against the grid {p,4}; only p = 5 is exercised
-by the tests, the rest of the family shares the construction with
-p - 2 sons at white tiles and p - 3 at black ones.
+Everything is written against the grid {p,4}, with p - 2 sons at white
+tiles and p - 3 at black ones; the tests check the placement for p = 5,
+6 and 7 against the cells of a tessellation.
 """
 
 from __future__ import annotations
@@ -42,10 +44,19 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .disc import GEOM_TOL, Geodesic, Tile, _axis_distance, geodesic_through
-from .errors import InsufficientTessellationDepth, NoFatherEdge
+from .disc import (
+    GEOM_TOL,
+    Geodesic,
+    Tile,
+    _axis_distance,
+    base_tile,
+    geodesic_through,
+    reflect_tile,
+)
+from .errors import CapExceeded, NoFatherEdge, PrecisionExhausted
+from .render import _pt, _tile_entry
 from .schlafli import Region, SchlafliPair, Scheme, build_system, validate
-from .tiling import Tessellation, tessellate
+from .tiling import DEFAULT_TILE_CAP, tessellate
 # level_counts is re-exported for counting a Fibonacci tree's levels
 from .tree import SpanningTree, TreeNode, generate, level_counts
 
@@ -92,33 +103,16 @@ def side_numbering(tile: Tile, father_edge: int | None) -> tuple[int, ...]:
     return tuple((father_edge + step * k) % tile.p for k in range(tile.p))
 
 
-def _junction(tile: Tile, edge_a: int, edge_b: int) -> complex:
-    ia = {edge_a, (edge_a + 1) % tile.p}
-    ib = {edge_b, (edge_b + 1) % tile.p}
-    (shared,) = ia & ib
-    return tile.vertices[shared]
-
-
-def assign_vertex(tile: Tile, father_edge: int, kind: Region) -> complex:
-    """The vertex this node numbers: junction of sides 1,2 for white
-    (S0) nodes, of sides 2,3 for black (S1) ones."""
-    sides = side_numbering(tile, father_edge)
-    if kind is Region.S0:
-        return _junction(tile, sides[0], sides[1])
-    return _junction(tile, sides[1], sides[2])
-
-
 @dataclass(frozen=True)
 class SectorNode:
-    """A tree node attached to its tile."""
+    """A tree node attached to its tile, whose edge 0 faces the father."""
 
     node: TreeNode
     tile: Tile
-    father_edge: int
 
     @property
     def vertex(self) -> complex:
-        return assign_vertex(self.tile, self.father_edge, self.node.kind)
+        return self.tile.vertices[1 if self.node.kind is Region.S0 else 2]
 
 
 @dataclass
@@ -126,12 +120,11 @@ class SectorTree:
     """The numbered sector: tree nodes bound to grid tiles.
 
     ``left`` is the delimiting line through the shared edge of the
-    central cell and the head; ``right`` the head's side-5 line through
+    central cell and the head; ``right`` the head's side-p line through
     the apex.  Vertices on the right line are the excluded ones.
     """
 
     pair: SchlafliPair
-    tessellation: Tessellation
     central: Tile
     apex: complex
     left: Geodesic
@@ -145,61 +138,44 @@ class SectorTree:
         return [out[i] for i in range(len(out))]
 
 
-def _son_slots(kind: Region, p: int) -> range:
-    # white: sides 2..p-1, black: sides 3..p-1 (1-based side numbers)
-    return range(2, p) if kind is Region.S0 else range(3, p)
-
-
 def pentagrid_sector(depth: int, p: int = 5) -> SectorTree:
     """Build the sector across edge 0 of the central cell of {p,4}.
 
-    The tessellation is taken two generations deeper than the tree so
-    that every neighbour needed for slot lookups and for the coverage
-    audit is present.
+    The head is the central cell mirrored in its edge 0 and each son is
+    its father mirrored in one side; a tile's id is its node's.  A tree
+    of more nodes than the tile cap is refused before any tile is placed.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pair = validate(p, 4)
-    tess = tessellate(pair, depth + 2)
-    central = tess.tiles[0]
-    head = tess.neighbor_across(central, 0)
-    if head is None:
-        raise InsufficientTessellationDepth("no head tile at depth 0")
-
-    father_edge = None
-    want = {tess.vertex_id(v) for v in central.edge(0)}
-    for i in range(head.p):
-        got = {tess.vertex_id(v) for v in head.edge(i)}
-        if got == want:
-            father_edge = i
-    assert father_edge is not None
-
-    sides = side_numbering(head, father_edge)
-    left = geodesic_through(*central.edge(0))
-    right = head.edge_geodesic(sides[p - 1])
-    apex = _junction(head, sides[p - 1], sides[0])
-
-    sector = SectorTree(pair, tess, central, apex, left, right)
-    placed = {1: (head, father_edge)}
-    for node in fibonacci_tree(depth, p).nodes():
-        here = SectorNode(node, *placed.pop(node.id))
-        sector.nodes[node.id] = here
-        slots = _son_slots(node.kind, p)
-        sides = side_numbering(here.tile, here.father_edge)
-        for slot, child_id in zip(slots, node.children):
-            edge = sides[slot - 1]
-            son = sector.tessellation.neighbor_across(here.tile, edge)
-            if son is None:
-                raise InsufficientTessellationDepth(
-                    f"missing son of node {node.id} at level {node.level}"
-                )
-            back = None
-            for i in range(son.p):
-                nb = sector.tessellation.neighbor_across(son, i)
-                if nb is not None and nb.id == here.tile.id:
-                    back = i
-            assert back is not None
-            placed[child_id] = (son, back)
+    tree = fibonacci_tree(depth, p)
+    if tree.size > DEFAULT_TILE_CAP:
+        raise CapExceeded(
+            f"{pair} sector: more than {DEFAULT_TILE_CAP} tiles at depth {depth}"
+        )
+    central = base_tile(pair)
+    head = reflect_tile(central, 0, 1)
+    sector = SectorTree(
+        pair,
+        central,
+        head.vertices[0],
+        geodesic_through(*central.edge(0)),
+        head.edge_geodesic(p - 1),
+    )
+    placed = {1: head}
+    for node in tree.nodes():
+        tile = placed.pop(node.id)
+        sector.nodes[node.id] = SectorNode(node, tile)
+        # side 2 of a white tile is edge 1, side 3 of a black one edge 2
+        first = 1 if node.kind is Region.S0 else 2
+        for edge, child_id in enumerate(node.children, first):
+            try:
+                placed[child_id] = reflect_tile(tile, edge, child_id)
+            except PrecisionExhausted as exc:
+                raise PrecisionExhausted(
+                    f"{pair} sector: level {node.level + 1} after "
+                    f"{child_id - 1} tiles: {exc}"
+                ) from exc
     return sector
 
 
@@ -240,8 +216,10 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
     fully explored when every member tile touching it is in the tree;
     only those can be judged covered or excluded, the rest are missed.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    tess = tessellate(validate(p, 4), depth + 2)
     sector = pentagrid_sector(depth, p)
-    tess = sector.tessellation
     head = sector.nodes[1].tile
     # signed distances to the delimiting lines, each line's axis map built once
     left, right = sector.left.to_axis(), sector.right.to_axis()
@@ -255,10 +233,13 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
         )
 
     member_ids = {t.id for t in tess.tiles if member(t)}
-    explored = {sn.tile.id for sn in sector.nodes.values()}
-
+    explored = set()
     assignments: dict[int, list[int]] = defaultdict(list)
     for nid, sn in sector.nodes.items():
+        cell = tess.tile_at(sn.tile.center)
+        if cell is None:
+            raise AssertionError(f"node {nid}: its tile is no cell of the tessellation")
+        explored.add(cell.id)
         vid = tess.vertex_id(sn.vertex)
         assert vid is not None
         assignments[vid].append(nid)
@@ -303,20 +284,19 @@ def dual_scene(depth: int = 3, p: int = 5) -> dict:
     """Scene showing the numbered sector: black (S1) tiles shaded, node
     ids printed at their assigned vertices, delimiting lines in full."""
     sector = pentagrid_sector(depth, p)
-    tiles = [{"points": [[v.real, v.imag] for v in sector.central.vertices]}]
+    tiles = [_tile_entry(sector.central)]
     labels = []
     for nid in sorted(sector.nodes):
         sn = sector.nodes[nid]
-        entry = {"points": [[v.real, v.imag] for v in sn.tile.vertices]}
+        entry = _tile_entry(sn.tile)
         if sn.node.kind is Region.S1:
             entry["fill"] = "#d9d9d9"
         tiles.append(entry)
-        z = sn.vertex
-        labels.append({"at": [z.real, z.imag], "text": str(nid)})
+        labels.append({"at": _pt(sn.vertex), "text": str(nid)})
     geodesics = []
     for line in (sector.left, sector.right):
         e1, e2 = line.ideal_endpoints()
-        geodesics.append({"a": [e1.real, e1.imag], "b": [e2.real, e2.imag]})
+        geodesics.append({"a": _pt(e1), "b": _pt(e2)})
     return {
         "tiles": tiles,
         "geodesics": geodesics,

@@ -111,6 +111,11 @@ class Tessellation:
         return None if idx is None else self.tiles[idx]
 
     def neighbor_across(self, tile: Tile, edge_index: int) -> Tile | None:
+        """The cell across an edge, or None when it was not generated.
+
+        Raises PrecisionExhausted when the edge's line cannot be solved
+        in doubles, as on outer edges of the last generation.
+        """
         return self.tile_at(_edge_mirror(tile, edge_index)[1])
 
     def _ensure_vertices(self) -> None:

@@ -13,12 +13,19 @@ tol-sized cells, and one f-string per number with its own -0 check.
 
 ``locate_edge`` finds the tile edge realizing a segment, for tests that
 check a walk runs on tessellation edges.
+
+``sector_placement`` finds the tiles of the {p,4} sector tree in a
+tessellation two generations deeper than the tree, the way the sector
+was built before each son was placed as its father's mirror image.
 """
 
 import math
 
 from hypq.disc import Isometry, Tile, base_tile, point_at
+from hypq.dual import fibonacci_tree, side_numbering
 from hypq.errors import InsufficientTessellationDepth, PrecisionExhausted
+from hypq.schlafli import Region, validate
+from hypq.tiling import tessellate as tessellate_tiling
 
 
 class SpatialIndex:
@@ -61,6 +68,58 @@ def locate_edge(tess, a: complex, b: complex):
     raise InsufficientTessellationDepth(
         f"edge not present at {tess.generations} generations"
     )
+
+
+def _junction(tile, edge_a, edge_b):
+    ia = {edge_a, (edge_a + 1) % tile.p}
+    ib = {edge_b, (edge_b + 1) % tile.p}
+    (shared,) = ia & ib
+    return tile.vertices[shared]
+
+
+def sector_placement(depth, p=5):
+    """Node id -> (tile, father edge, numbered vertex) of the sector across
+    edge 0 of the central cell of {p,4}, looked up in tessellate(depth + 2):
+    the head's father edge by vertex ids, each son by a neighbor_across
+    probe across its side, and the son's back edge by a scan of p probes.
+    A white node numbers the junction of sides 1 and 2, a black node that
+    of sides 2 and 3."""
+    tess = tessellate_tiling(validate(p, 4), depth + 2)
+    central = tess.tiles[0]
+    head = tess.neighbor_across(central, 0)
+    if head is None:
+        raise InsufficientTessellationDepth("no head tile at depth 0")
+    father_edge = None
+    want = {tess.vertex_id(v) for v in central.edge(0)}
+    for i in range(head.p):
+        if {tess.vertex_id(v) for v in head.edge(i)} == want:
+            father_edge = i
+    assert father_edge is not None
+    placed = {1: (head, father_edge)}
+    out = {}
+    for node in fibonacci_tree(depth, p).nodes():
+        tile, edge = placed.pop(node.id)
+        sides = side_numbering(tile, edge)
+        if node.kind is Region.S0:
+            out[node.id] = (tile, edge, _junction(tile, sides[0], sides[1]))
+            slots = range(2, p)
+        else:
+            out[node.id] = (tile, edge, _junction(tile, sides[1], sides[2]))
+            slots = range(3, p)
+        for slot, child_id in zip(slots, node.children):
+            son = tess.neighbor_across(tile, sides[slot - 1])
+            if son is None:
+                raise InsufficientTessellationDepth(
+                    f"missing son of node {node.id} at level {node.level}"
+                )
+            back = None
+            for i in range(son.p):
+                nb = tess.neighbor_across(son, i)
+                if nb is not None and nb.id == tile.id:
+                    back = i
+            assert back is not None
+            placed[child_id] = (son, back)
+    return out
 
 
 def line(z1, z2):

@@ -1,11 +1,13 @@
 """Dual numbering of the {4,5} grid via its {5,4} pentagrid sectors."""
 
+import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import pytest
 
+import geometry_oracle
 from hypq.disc import base_tile, reflect_tile
 from hypq.dual import (
     check_bijection,
@@ -15,8 +17,15 @@ from hypq.dual import (
     pentagrid_sector,
     side_numbering,
 )
-from hypq.errors import CapExceeded, NoFatherEdge, NotHyperbolic
+from hypq.errors import (
+    CapExceeded,
+    NoFatherEdge,
+    NotHyperbolic,
+    PrecisionExhausted,
+)
+from hypq.render import render_svg
 from hypq.schlafli import Region, validate
+from hypq.tiling import tessellate
 
 WHITE, BLACK = Region.S0, Region.S1
 
@@ -155,9 +164,124 @@ def test_pentagrid_sector_structure():
         assert sn.tile.id not in seen_tiles  # one tile per node
         seen_tiles.add(sn.tile.id)
         if nid != 1:
-            assert sn.father_edge is not None
+            # a son's edge 0 is its father's side edge, walked backwards
+            father = tree.nodes[sn.node.parent]
+            slot = father.node.children.index(nid)
+            side = slot + (2 if father.node.kind is WHITE else 3)
+            a, b = father.tile.edge(side_numbering(father.tile, 0)[side - 1])
+            c, d = sn.tile.edge(0)
+            assert abs(c - b) < 1e-12 and abs(d - a) < 1e-12
             v = sn.vertex
             assert min(abs(v - w) for w in sn.tile.vertices) < 1e-9
+
+
+# SHA-256 of render_svg(dual_scene(d)) for d = 0..6 with every tile's
+# path starting where geometry_oracle.sector_placement starts it
+LOOKUP_SVGS = [
+    "bf1236fc7bb8d4e99cad2c7f00b19706a454001af7a9eb39f206bd6933d134b0",
+    "50530815773e0d266188970d2e433b5bd152b9cabcd4b84a7dc02b4b1ae1159a",
+    "37bc6b3880f02562f7db333e132d1528f94cec1e9441c5c6057b4e4adcef9805",
+    "bc68ee0daf9765e5c01c844a708aaba28528b83624f05e434041a00410089317",
+    "87ecdf5c7ccbd4ad93f7c946a6079941d44ae2e83439762ecf87a6891ca7d424",
+    "8614d54fe8417865acc8bc3152727220d6f5b82d6c3f5a830f0f502036571e0d",
+    "ab134e07fb97ce82fdab434e21c31d485d23c28ce282b0db0f87c94d40627b98",
+]
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_reflected_placement_matches_the_lookup_oracle(depth):
+    sector = pentagrid_sector(depth)
+    want = geometry_oracle.sector_placement(depth)
+    assert sorted(sector.nodes) == sorted(want)
+    scene = dual_scene(depth)
+    for nid, sn in sector.nodes.items():
+        old, _, vertex = want[nid]
+        # the same cell, its vertex list a cyclic rotation of the old one
+        vs = sn.tile.vertices
+        (shift,) = [k for k in range(len(vs)) if abs(vs[k] - old.vertices[0]) < 1e-9]
+        rotated = vs[shift:] + vs[:shift]
+        assert max(abs(a - b) for a, b in zip(rotated, old.vertices)) < 1e-9
+        assert abs(sn.tile.center - old.center) < 1e-9
+        assert abs(sn.vertex - vertex) < 1e-9
+        # start the node's path where the lookup started it
+        points = scene["tiles"][nid]["points"]
+        scene["tiles"][nid]["points"] = points[shift:] + points[:shift]
+    svg = render_svg(scene)
+    assert hashlib.sha256(svg.encode()).hexdigest() == LOOKUP_SVGS[depth]
+
+
+# SHA-256 of repr(check_bijection(d)) for d = 0..6, taken with the
+# placement geometry_oracle.sector_placement keeps
+BIJECTION_REPRS = [
+    "75dab7ca353d4afb2cd7a5e4bc15f7301a26d86b6c67820e9ab45be8fa3a1bc7",
+    "8c149ef130f47c1cd6eecaaa2174a7b2ced9ec2cde93e51086c18c7d78af3315",
+    "9926138b2086ee27d78d0128d10aa7ea229ed473e77c671d2c1c274d3aed9ad4",
+    "289f3c7c930a61e35e20108f6e9907a529ea4124d56c7d620c65f17160be1c71",
+    "95e7aba4bf60eb7650d0de698e8461f86cff0fd064c253e2e2f39f6c36219bbc",
+    "b13e6819279c5923505980826433a10108f23652fccc68e5a37fadeb813b9ae4",
+    "36d62c8b1fb119707432c43f5401942ecb4d3a823c1980587d2b1d65c0127753",
+]
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_bijection_reports_are_pinned(depth):
+    text = repr(check_bijection(depth))
+    assert hashlib.sha256(text.encode()).hexdigest() == BIJECTION_REPRS[depth]
+
+
+@pytest.mark.parametrize(
+    "p,depths", [(5, range(6)), (6, range(4)), (7, range(4))]
+)
+def test_placed_tiles_are_the_sector_cells(p, depths):
+    # the tree through level d places exactly the cells of
+    # tessellate(d + 1) that lie strictly between the delimiting lines
+    for depth in depths:
+        sector = pentagrid_sector(depth, p)
+        tess = tessellate(validate(p, 4), depth + 1)
+        head = sector.nodes[1].tile
+        sign_l = sector.left.signed_distance(head.center)
+        sign_r = sector.right.signed_distance(head.center)
+        members = {
+            t.id
+            for t in tess.tiles
+            if sector.left.signed_distance(t.center) * sign_l > 1e-9
+            and sector.right.signed_distance(t.center) * sign_r > 1e-9
+        }
+        cells = [tess.tile_at(sn.tile.center) for sn in sector.nodes.values()]
+        assert None not in cells
+        ids = [cell.id for cell in cells]
+        assert len(set(ids)) == len(ids)
+        assert set(ids) == members, (p, depth)
+
+
+def test_sector_placement_is_bounded(monkeypatch):
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    # 196417 nodes at depth 12: refused before any tile is placed
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"\{5,4\} sector: more than 100000 tiles"):
+        pentagrid_sector(12)
+    assert time.perf_counter() - start < 1.0
+    # {8,4} runs out of doubles at level 5, long before the cap
+    with pytest.raises(PrecisionExhausted) as info:
+        pentagrid_sector(5, p=8)
+    assert str(info.value).startswith("{8,4} sector: level 5 after ")
+    assert "double precision ran out" in str(info.value)
+
+
+def test_audit_names_a_placed_tile_with_no_cell(monkeypatch):
+    import hypq.dual
+
+    def shifted(depth, p=5):
+        # node 3's tile claims a vertex as its centre, which no cell has
+        sector = pentagrid_sector(depth, p)
+        sn = sector.nodes[3]
+        moved = sn.tile._replace(center=sn.tile.vertices[0])
+        sector.nodes[3] = replace(sn, tile=moved)
+        return sector
+
+    monkeypatch.setattr(hypq.dual, "pentagrid_sector", shifted)
+    with pytest.raises(AssertionError, match="node 3"):
+        check_bijection(2)
 
 
 def test_sector_stays_between_the_delimiters():

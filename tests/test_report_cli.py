@@ -343,6 +343,16 @@ def test_cli_render_dual45_only_for_four_five(tmp_path, capsys):
     assert out.read_text(encoding="utf-8").startswith("<?xml")
 
 
+def test_cli_render_dual45_refuses_past_the_tile_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    out = tmp_path / "dual.svg"
+    args = ["render", "-p", "4", "-q", "5", "--what", "dual45",
+            "--depth", "12", "-o", str(out)]
+    assert main(args) == 3
+    assert "sector: more than 100000 tiles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_core_passes(capsys):
     assert main(["verify", "core"]) == 0
     out = capsys.readouterr().out

@@ -69,6 +69,31 @@ def test_neighbor_missing_at_the_rim():
     assert missing > 0
 
 
+def test_neighbor_across_raises_only_on_unshared_rim_edges():
+    # {8,8} builds 4 generations, but 127 of the 25544 (tile, edge)
+    # queries land on edges whose line no longer solves in doubles; each
+    # is an outer edge of a generation-4 tile that no other tile shares
+    tess = tessellate(validate(8, 8), 4)
+    edges = {}
+    for tile in tess.tiles:
+        for e in range(tile.p):
+            key = frozenset(map(tess.vertex_id, tile.edge(e)))
+            edges[key] = edges.get(key, 0) + 1
+    raised = []
+    for tile in tess.tiles:
+        for e in range(tile.p):
+            try:
+                tess.neighbor_across(tile, e)
+            except PrecisionExhausted:
+                raised.append((tile, e))
+    assert sum(t.p for t in tess.tiles) == 25544
+    assert len(raised) == 127
+    assert {t.generation for t, _ in raised} == {4}
+    assert all(
+        edges[frozenset(map(tess.vertex_id, t.edge(e)))] == 1 for t, e in raised
+    )
+
+
 def test_tile_is_an_immutable_hashable_tuple():
     tess = tessellate(validate(5, 4), 2)
     tile = tess.tiles[7]
