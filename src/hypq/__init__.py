@@ -22,7 +22,6 @@ from .dual import (
     check_bijection,
     fibonacci_tree,
     pentagrid_sector,
-    side_numbering,
 )
 from .errors import HypqError
 from .lines import h_midpoint_line, zigzag_line
@@ -89,7 +88,6 @@ __all__ = [
     "represent_greedy",
     "represent_maximal",
     "sector",
-    "side_numbering",
     "splitting_matrix",
     "strip_factors",
     "tessellate",

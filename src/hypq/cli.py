@@ -18,7 +18,13 @@ import sys
 
 from . import verify as verify_mod
 from .dual import dual_scene
-from .errors import CapExceeded, HypqError, PrecisionExhausted, Unrepresentable
+from .errors import (
+    CapExceeded,
+    HypqError,
+    PrecisionExhausted,
+    TooFewLevels,
+    Unrepresentable,
+)
 from .numeration import basis, represent_maximal
 from .render import (
     midlines_scene,
@@ -38,7 +44,6 @@ from .schlafli import (
 )
 from .spectral import analyze
 from .tree import generate, recurrence_check, to_dot
-from .errors import TooFewLevels
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

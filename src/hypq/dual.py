@@ -53,8 +53,8 @@ from .disc import (
     geodesic_through,
     reflect_tile,
 )
-from .errors import CapExceeded, NoFatherEdge, PrecisionExhausted
-from .render import _pt, _tile_entry
+from .errors import CapExceeded, PrecisionExhausted
+from .render import _tile_entry
 from .schlafli import Region, SchlafliPair, Scheme, build_system, validate
 from .tiling import DEFAULT_TILE_CAP, tessellate
 # level_counts is re-exported for counting a Fibonacci tree's levels
@@ -78,29 +78,6 @@ def fibonacci_tree(depth: int, p: int = 5) -> SpanningTree:
 
 # ----------------------------------------------------------------------
 # Geometric attachment
-
-
-def _orientation(tile: Tile) -> int:
-    """+1 when the stored vertex list runs counter-clockwise."""
-    area = 0.0
-    vs = tile.vertices
-    for i in range(len(vs)):
-        a, b = vs[i], vs[(i + 1) % len(vs)]
-        area += a.real * b.imag - a.imag * b.real
-    return 1 if area > 0 else -1
-
-
-def side_numbering(tile: Tile, father_edge: int | None) -> tuple[int, ...]:
-    """Edge index of each side 1..p, counter-clockwise from the father.
-
-    The walk follows the geometric orientation rather than the list
-    order, so tiles whose vertices happen to be stored clockwise are
-    numbered the same way as everyone else.
-    """
-    if father_edge is None:
-        raise NoFatherEdge("the central cell has no father side")
-    step = _orientation(tile)
-    return tuple((father_edge + step * k) % tile.p for k in range(tile.p))
 
 
 @dataclass(frozen=True)
@@ -244,20 +221,15 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
         assert vid is not None
         assignments[vid].append(nid)
 
-    touching: dict[int, set[int]] = defaultdict(set)
-    for tid in member_ids:
-        tile = tess.tiles[tid]
-        for v in tile.vertices:
-            touching[tess.vertex_id(v)].add(tid)
-
-    groups = tess.vertex_groups()
     covered: dict[tuple[float, float], int] = {}
     missed: list[tuple[float, float]] = []
     doubly: list[tuple[float, float]] = []
     excluded: list[tuple[float, float]] = []
     worst = 0.0
-    for vid, tids in sorted(touching.items()):
-        z = groups[vid][0]
+    for vid, (z, tids) in enumerate(tess.vertex_groups()):
+        tids = member_ids.intersection(tids)
+        if not tids:
+            continue
         key = _key(z)
         owners = assignments.get(vid, [])
         if len(owners) > 1:
@@ -292,11 +264,11 @@ def dual_scene(depth: int = 3, p: int = 5) -> dict:
         if sn.node.kind is Region.S1:
             entry["fill"] = "#d9d9d9"
         tiles.append(entry)
-        labels.append({"at": _pt(sn.vertex), "text": str(nid)})
+        labels.append({"at": sn.vertex, "text": str(nid)})
     geodesics = []
     for line in (sector.left, sector.right):
         e1, e2 = line.ideal_endpoints()
-        geodesics.append({"a": _pt(e1), "b": _pt(e2)})
+        geodesics.append({"a": e1, "b": e2})
     return {
         "tiles": tiles,
         "geodesics": geodesics,

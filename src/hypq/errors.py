@@ -51,11 +51,3 @@ class DigitOutOfRange(HypqError):
 
 class PrecisionExhausted(HypqError, ValueError):
     """Double precision ran out before a disc construction could finish."""
-
-
-class InsufficientTessellationDepth(HypqError):
-    """The tessellation is too shallow for the requested construction."""
-
-
-class NoFatherEdge(HypqError):
-    """Side numbering was requested for a tile without a father edge."""

@@ -1,10 +1,12 @@
 """Poincare-disc renderings as standalone SVG documents.
 
-A scene is plain data: a dict with the four keys ``tiles``,
-``geodesics``, ``sectors`` and ``labels`` (each a list, all optional),
-point coordinates as [x, y] pairs, so that a scene is JSON-serializable
-as it stands.  Builders at the bottom of the module produce scenes from
-the geometric objects; ``render_svg`` only turns a scene into text.
+A scene is a dict with the four keys ``tiles``, ``geodesics``,
+``sectors`` and ``labels`` (each a list, all optional) whose points are
+the disc's own ``complex`` values: a tile entry's ``points`` is the
+tile's ``vertices`` tuple, and ``a``, ``b``, ``vertex`` and ``at`` are
+single points.  Builders at the bottom of the module produce scenes
+from the geometric objects; ``render_svg`` only turns a scene into text,
+in one fixed style.
 
 Geodesic segments become single circular-arc path commands: the circle
 through two disc points orthogonal to the unit circle is solved by
@@ -13,7 +15,7 @@ through two disc points orthogonal to the unit circle is solved by
 segments and polygons; it reads each point's (|z|^2 + 1)/2 once, for
 both arcs that meet there.  The output
 is deterministic: fixed 6-decimal coordinates, items emitted in input
-order, no dependence on anything outside the scene and style dicts.
+order, no dependence on anything outside the scene dict.
 The vertical axis is flipped on emission so the mathematical
 orientation (counter-clockwise positive) is preserved on screen.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from xml.sax.saxutils import escape
 
 from .disc import Tile, _arc, base_tile
@@ -37,20 +40,19 @@ from .schlafli import Region, SchlafliPair, Scheme
 from .sectors import Ray, SectorBoundary, cover
 from .tiling import tessellate
 
-#: Style knobs understood by render_svg; callers may override any subset.
-DEFAULT_STYLE = {
-    "size": 600,
-    "disc_stroke": "#202020",
-    "tile_stroke": "#3a3a3a",
-    "tile_fill": "none",
-    "geodesic_stroke": "#2c6fb3",
-    "sector_stroke": "#c0392b",
-    "label_color": "#111111",
-    "stroke_width": 0.004,
-    "accent_width": 0.007,
-    "label_size": 0.06,
-    "dot_radius": 0.012,
-}
+# The one style: colours, and widths and sizes in disc units, written
+# as they appear in the document.
+_SIZE = 600
+_DISC_STROKE = "#202020"
+_TILE_STROKE = "#3a3a3a"
+_TILE_FILL = "none"
+_GEODESIC_STROKE = "#2c6fb3"
+_SECTOR_STROKE = "#c0392b"
+_LABEL_COLOR = "#111111"
+_STROKE_WIDTH = "0.004000"
+_ACCENT_WIDTH = "0.007000"
+_LABEL_SIZE = "0.060000"
+_DOT_RADIUS = "0.012000"
 
 _VIEWBOX = "-1.05 -1.05 2.1 2.1"
 
@@ -64,10 +66,6 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _as_complex(pt) -> complex:
-    return complex(pt[0], pt[1])
-
-
 # Path commands as printf pieces; user space is y-down, so each point
 # is given as (x, -y), which keeps the math orientation on screen.
 _MOVE = "M %.6f %.6f"
@@ -78,7 +76,7 @@ _ARC_CCW = "A %.6f %.6f 0 0 0 %.6f %.6f"
 _ARC_CW = "A %.6f %.6f 0 0 1 %.6f %.6f"
 
 
-def _path(points: list[complex], close: bool) -> str:
+def _path(points: Sequence[complex], close: bool) -> str:
     """The path through at least two points along their geodesics, back
     to the first point when close; a step shorter than _DEGENERATE is
     dropped.
@@ -127,46 +125,38 @@ def _segment_path(a: complex, b: complex) -> str | None:
     return _path([a, b], close=False)
 
 
-def _polygon_path(points: list[complex]) -> str | None:
+def _polygon_path(points: Sequence[complex]) -> str | None:
     if len(points) < 2:
         return None
     return _path(points, close=True)
 
 
-def render_svg(scene: dict, style: dict | None = None) -> str:
+def render_svg(scene: dict) -> str:
     """Serialize a scene dict to an SVG 1.1 document.
 
     The unit disc maps to a square viewBox with a small margin; an
     empty scene still yields a valid document showing the disc border.
-    Identical scene and style dicts produce byte-identical output.
+    Identical scene dicts produce byte-identical output.
     """
-    st = dict(DEFAULT_STYLE)
-    if style:
-        st.update(style)
-    size = int(st["size"])
-    w = _fmt(float(st["stroke_width"]))
-    aw = _fmt(float(st["accent_width"]))
-
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="{_VIEWBOX}">',
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="{_VIEWBOX}">',
         f'<circle cx="0" cy="0" r="1" fill="none" '
-        f'stroke="{st["disc_stroke"]}" stroke-width="{w}"/>',
+        f'stroke="{_DISC_STROKE}" stroke-width="{_STROKE_WIDTH}"/>',
     ]
 
     tiles = scene.get("tiles") or []
     if tiles:
         out.append('<g class="tiles">')
         for item in tiles:
-            pts = [complex(pt[0], pt[1]) for pt in item["points"]]
-            d = _polygon_path(pts)
+            d = _polygon_path(item["points"])
             if d is None:
                 continue
-            fill = item.get("fill", st["tile_fill"])
+            fill = item.get("fill", _TILE_FILL)
             out.append(
-                f'<path d="{d}" fill="{fill}" stroke="{st["tile_stroke"]}" '
-                f'stroke-width="{w}"/>'
+                f'<path d="{d}" fill="{fill}" stroke="{_TILE_STROKE}" '
+                f'stroke-width="{_STROKE_WIDTH}"/>'
             )
         out.append("</g>")
 
@@ -174,12 +164,12 @@ def render_svg(scene: dict, style: dict | None = None) -> str:
     if geodesics:
         out.append('<g class="geodesics">')
         for item in geodesics:
-            d = _segment_path(_as_complex(item["a"]), _as_complex(item["b"]))
+            d = _segment_path(item["a"], item["b"])
             if d is None:
                 continue
             out.append(
-                f'<path d="{d}" fill="none" stroke="{st["geodesic_stroke"]}" '
-                f'stroke-width="{aw}"/>'
+                f'<path d="{d}" fill="none" stroke="{_GEODESIC_STROKE}" '
+                f'stroke-width="{_ACCENT_WIDTH}"/>'
             )
         out.append("</g>")
 
@@ -188,33 +178,31 @@ def render_svg(scene: dict, style: dict | None = None) -> str:
         out.append('<g class="sectors">')
         for item in sectors:
             for arc in item.get("arcs", []):
-                d = _segment_path(_as_complex(arc["a"]), _as_complex(arc["b"]))
+                d = _segment_path(arc["a"], arc["b"])
                 if d is None:
                     continue
                 out.append(
                     f'<path d="{d}" fill="none" '
-                    f'stroke="{st["sector_stroke"]}" stroke-width="{aw}"/>'
+                    f'stroke="{_SECTOR_STROKE}" stroke-width="{_ACCENT_WIDTH}"/>'
                 )
-            v = _as_complex(item["vertex"])
+            v = item["vertex"]
             out.append(
                 f'<circle cx="{_fmt(v.real)}" cy="{_fmt(-v.imag)}" '
-                f'r="{_fmt(float(st["dot_radius"]))}" '
-                f'fill="{st["sector_stroke"]}"/>'
+                f'r="{_DOT_RADIUS}" fill="{_SECTOR_STROKE}"/>'
             )
         out.append("</g>")
 
     labels = scene.get("labels") or []
     if labels:
-        fs = _fmt(float(st["label_size"]))
         out.append('<g class="labels">')
         for item in labels:
-            at = _as_complex(item["at"])
+            at = item["at"]
             text = escape(str(item["text"]))
             out.append(
                 f'<text x="{_fmt(at.real)}" y="{_fmt(-at.imag)}" '
-                f'font-size="{fs}" text-anchor="middle" '
+                f'font-size="{_LABEL_SIZE}" text-anchor="middle" '
                 f'dominant-baseline="middle" '
-                f'fill="{st["label_color"]}">{text}</text>'
+                f'fill="{_LABEL_COLOR}">{text}</text>'
             )
         out.append("</g>")
 
@@ -226,12 +214,8 @@ def render_svg(scene: dict, style: dict | None = None) -> str:
 # Scene builders
 
 
-def _pt(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _tile_entry(tile: Tile) -> dict:
-    return {"points": [[v.real, v.imag] for v in tile.vertices]}
+    return {"points": tile.vertices}
 
 
 def _ray_to_ideal(ray: Ray) -> complex:
@@ -257,9 +241,9 @@ def _ray_to_ideal(ray: Ray) -> complex:
 
 def _sector_entry(sb: SectorBoundary) -> dict:
     arcs = [
-        {"a": _pt(r.origin), "b": _pt(_ray_to_ideal(r))} for r in sb.rays
+        {"a": r.origin, "b": _ray_to_ideal(r)} for r in sb.rays
     ]
-    return {"vertex": _pt(sb.vertex), "arcs": arcs}
+    return {"vertex": sb.vertex, "arcs": arcs}
 
 
 def tessellation_scene(pair: SchlafliPair, generations: int = 3) -> dict:
@@ -287,7 +271,7 @@ def sector_scene(
     boundaries = cover(pair, scheme, kind)
     scene["sectors"] = [_sector_entry(sb) for sb in boundaries]
     scene["labels"] = [
-        {"at": _pt(sb.witness), "text": str(sb.copy_index)}
+        {"at": sb.witness, "text": str(sb.copy_index)}
         for sb in boundaries
     ]
     return scene
@@ -306,9 +290,9 @@ def midlines_scene(
     for i in range(base.p):
         ml = h_midpoint_line(pair, base.edge(i), steps=steps)
         e1, e2 = ml.supporting.ideal_endpoints()
-        scene["geodesics"].append({"a": _pt(e1), "b": _pt(e2)})
+        scene["geodesics"].append({"a": e1, "b": e2})
         scene["labels"].extend(
-            {"at": _pt(m), "text": "."} for m in ml.midpoints
+            {"at": m, "text": "."} for m in ml.midpoints
         )
     return scene
 
@@ -319,5 +303,5 @@ def zigzag_scene(
     """Tessellation with one zig-zag edge walk drawn on top."""
     scene = tessellation_scene(pair, generations)
     path = zigzag_line(pair, steps=steps)
-    scene["geodesics"] = [{"a": _pt(a), "b": _pt(b)} for a, b in path.edges]
+    scene["geodesics"] = [{"a": a, "b": b} for a, b in path.edges]
     return scene

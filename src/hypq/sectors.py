@@ -103,7 +103,6 @@ class SectorBoundary:
     vertex: complex
     rays: tuple[Ray, Ray]
     witness: complex
-    head_center: complex | None
     copy_index: int
     corner: CornerPatch | None = None
 
@@ -249,7 +248,7 @@ def sector(
         v1, vp = g(tile.vertices[1]), g(tile.vertices[-1])
         rays = (_ray_through(f.vertex, v1), _ray_through(f.vertex, vp))
         return SectorBoundary(
-            pair, scheme, kind, f.vertex, rays, g(0j), g(0j), copy_index
+            pair, scheme, kind, f.vertex, rays, g(0j), copy_index
         )
 
     if kind is Region.S0:
@@ -260,7 +259,7 @@ def sector(
             _ray_away(g(f.c_mid), g(a_next)),
         )
         return SectorBoundary(
-            pair, scheme, kind, f.vertex, rays, g(0j), g(0j), copy_index,
+            pair, scheme, kind, f.vertex, rays, g(0j), copy_index,
             corner=_corner_patch(pair, g, g(0j)),
         )
 
@@ -281,7 +280,7 @@ def sector(
         apex = g(f.a_mid)
         rays = (_ray_through(apex, g(f.b_mid)), _ray_through(apex, g(f.c_mid)))
         return SectorBoundary(
-            pair, scheme, kind, apex, rays, g(0j), g(0j), copy_index,
+            pair, scheme, kind, apex, rays, g(0j), copy_index,
             corner=_corner_patch(pair, g, g(0j)),
         )
     return _away_wedge(pair, f, scheme, kind, turn, copy_index)
@@ -303,7 +302,7 @@ def _away_wedge(
     rays = (_ray_away(apex, a_here), _ray_away(apex, a_next))
     return SectorBoundary(
         pair, scheme, kind, apex, rays, _bisector_probe(pair, apex, rays),
-        None, copy_index,
+        copy_index,
     )
 
 

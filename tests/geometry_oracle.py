@@ -16,16 +16,25 @@ check a walk runs on tessellation edges.
 
 ``sector_placement`` finds the tiles of the {p,4} sector tree in a
 tessellation two generations deeper than the tree, the way the sector
-was built before each son was placed as its father's mirror image.
+was built before each son was placed as its father's mirror image,
+with the side numbering and the errors that lookup needs.
 """
 
 import math
 
 from hypq.disc import Isometry, Tile, base_tile, point_at
-from hypq.dual import fibonacci_tree, side_numbering
-from hypq.errors import InsufficientTessellationDepth, PrecisionExhausted
+from hypq.dual import fibonacci_tree
+from hypq.errors import HypqError, PrecisionExhausted
 from hypq.schlafli import Region, validate
 from hypq.tiling import tessellate as tessellate_tiling
+
+
+class InsufficientTessellationDepth(HypqError):
+    """The tessellation is too shallow for the requested construction."""
+
+
+class NoFatherEdge(HypqError):
+    """Side numbering was requested for a tile without a father edge."""
 
 
 class SpatialIndex:
@@ -68,6 +77,29 @@ def locate_edge(tess, a: complex, b: complex):
     raise InsufficientTessellationDepth(
         f"edge not present at {tess.generations} generations"
     )
+
+
+def _orientation(tile):
+    """+1 when the stored vertex list runs counter-clockwise."""
+    area = 0.0
+    vs = tile.vertices
+    for i in range(len(vs)):
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        area += a.real * b.imag - a.imag * b.real
+    return 1 if area > 0 else -1
+
+
+def side_numbering(tile, father_edge):
+    """Edge index of each side 1..p, counter-clockwise from the father.
+
+    The walk follows the geometric orientation rather than the list
+    order, so tiles whose vertices happen to be stored clockwise are
+    numbered the same way as everyone else.
+    """
+    if father_edge is None:
+        raise NoFatherEdge("the central cell has no father side")
+    step = _orientation(tile)
+    return tuple((father_edge + step * k) % tile.p for k in range(tile.p))
 
 
 def _junction(tile, edge_a, edge_b):

