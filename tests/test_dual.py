@@ -308,10 +308,8 @@ def test_bijection_holds_beyond_the_pentagrid(p, sums):
     for depth, total in enumerate(sums, 1):
         rep = check_bijection(depth, p)
         assert sorted(rep.covered.values()) == list(range(1, total + 1))
-        assert len(rep.covered) == total
         assert not rep.doubly_assigned
         assert rep.apex in rep.excluded
-        assert rep.apex not in rep.covered
         assert rep.right_ray_residual < 1e-9
 
 
