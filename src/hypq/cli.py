@@ -72,7 +72,7 @@ def _add_scheme(sub: argparse.ArgumentParser, with_auto: bool) -> None:
 def _single_scheme(pair: SchlafliPair, tag: str | None) -> Scheme:
     """Resolve the scheme for subcommands that need exactly one."""
     if tag:
-        return Scheme.from_tag(tag)
+        return Scheme(tag)
     if pair.q % 2 == 0:
         return Scheme.EVEN_Q
     raise HypqError(
@@ -90,7 +90,7 @@ def cmd_analyze(args) -> int:
             else [Scheme.ODD_V1, Scheme.ODD_V2]
         )
     else:
-        schemes = [Scheme.from_tag(args.scheme)]
+        schemes = [Scheme(args.scheme)]
     reports = [analyze(pair, s) for s in schemes]
     if args.json:
         out = (

@@ -8,6 +8,11 @@ with conjugation first when the anti flag is set (reflections are
 anti-maps).  The model is conformal, so angles at a point are plain
 Euclidean angles between tangent directions.
 
+A geodesic builds its axis map, the isometry carrying it onto the real
+diameter, once, on first use, and keeps it: its signed distances, the
+sector covers' pairing and the heading of a ray along it all read that
+one map.
+
 Everything here is desk-scale double precision; the package-wide
 geometric tolerance is GEOM_TOL and accumulated error is kept well
 below it by the involution/isometry tests.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PrecisionExhausted
@@ -182,7 +188,12 @@ class Geodesic:
     direction: complex
 
     def to_axis(self) -> Isometry:
-        """An isometry carrying this geodesic onto the real diameter."""
+        """An isometry carrying this geodesic onto the real diameter,
+        built on first use and kept by the line."""
+        return self._axis
+
+    @cached_property
+    def _axis(self) -> Isometry:
         if self.center is None:
             return Isometry(self.direction.conjugate(), 0, 0, 1)
         # move the point of the arc nearest the origin to the origin;
@@ -195,7 +206,7 @@ class Geodesic:
 
     def signed_distance(self, z: complex) -> float:
         """Hyperbolic distance to the line, signed by side."""
-        return _axis_distance(self.to_axis(), z)
+        return _axis_height(self._axis(z))
 
     def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
         return abs(self.signed_distance(z)) < tol
@@ -210,6 +221,13 @@ class Geodesic:
         phi = cmath.phase(self.center)
         spread = math.acos(1.0 / abs(self.center))
         return cmath.exp(1j * (phi - spread)), cmath.exp(1j * (phi + spread))
+
+
+def _axis_height(w: complex) -> float:
+    """The signed hyperbolic distance of w from the real diameter: a
+    line's signed distance to z is the height of z's image under the
+    line's axis map."""
+    return math.asinh(2.0 * w.imag / (1.0 - abs(w) ** 2))
 
 
 def _arc(
@@ -261,13 +279,6 @@ def _mirror(center: complex | None, radius: float, direction: complex) -> tuple:
 def geodesic_through(z1: complex, z2: complex) -> Geodesic:
     """The unique geodesic through two distinct points."""
     return Geodesic(*_line_through(z1, z2))
-
-
-def _axis_distance(axis: Isometry, z: complex) -> float:
-    """Geodesic.signed_distance(z) for the line that axis carries onto
-    the real diameter."""
-    w = axis(z)
-    return math.asinh(2.0 * w.imag / (1.0 - abs(w) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .disc import (
     GEOM_TOL,
     Geodesic,
     Tile,
-    _axis_distance,
     base_tile,
     geodesic_through,
     reflect_tile,
@@ -198,15 +197,14 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
     tess = tessellate(validate(p, 4), depth + 2)
     sector = pentagrid_sector(depth, p)
     head = sector.nodes[1].tile
-    # signed distances to the delimiting lines, each line's axis map built once
-    left, right = sector.left.to_axis(), sector.right.to_axis()
-    s_left = 1.0 if _axis_distance(left, head.center) > 0 else -1.0
-    s_right = 1.0 if _axis_distance(right, head.center) > 0 else -1.0
+    left, right = sector.left, sector.right
+    s_left = 1.0 if left.signed_distance(head.center) > 0 else -1.0
+    s_right = 1.0 if right.signed_distance(head.center) > 0 else -1.0
 
     def member(tile: Tile) -> bool:
         return (
-            s_left * _axis_distance(left, tile.center) > GEOM_TOL
-            and s_right * _axis_distance(right, tile.center) > GEOM_TOL
+            s_left * left.signed_distance(tile.center) > GEOM_TOL
+            and s_right * right.signed_distance(tile.center) > GEOM_TOL
         )
 
     member_ids = {t.id for t in tess.tiles if member(t)}
@@ -240,7 +238,7 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
             continue
         if tids <= explored:
             excluded.append(key)
-            worst = max(worst, abs(_axis_distance(right, z)))
+            worst = max(worst, abs(right.signed_distance(z)))
         else:
             missed.append(key)
     return BijectionReport(

@@ -6,7 +6,8 @@ the disc's own ``complex`` values: a tile entry's ``points`` is the
 tile's ``vertices`` tuple, and ``a``, ``b``, ``vertex`` and ``at`` are
 single points.  Builders at the bottom of the module produce scenes
 from the geometric objects; ``render_svg`` only turns a scene into text,
-in one fixed style.
+in one fixed style.  A sector wall is drawn from its ray's origin to the
+ideal endpoint the ray itself names (``sectors.Ray.ideal_endpoint``).
 
 Geodesic segments become single circular-arc path commands: the circle
 through two disc points orthogonal to the unit circle is solved by
@@ -28,8 +29,6 @@ whole path; it cannot match any other token.
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections.abc import Sequence
 from xml.sax.saxutils import escape
 
@@ -37,7 +36,7 @@ from .disc import Tile, _arc, base_tile
 from .errors import PrecisionExhausted
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import Region, SchlafliPair, Scheme
-from .sectors import Ray, SectorBoundary, cover
+from .sectors import SectorBoundary, cover
 from .tiling import tessellate
 
 # The one style: colours, and widths and sizes in disc units, written
@@ -218,30 +217,9 @@ def _tile_entry(tile: Tile) -> dict:
     return {"points": tile.vertices}
 
 
-def _ray_to_ideal(ray: Ray) -> complex:
-    """The ideal endpoint the ray runs into."""
-    line = ray.line
-    e1, e2 = line.ideal_endpoints()
-    if line.center is None:
-        d = ray.direction
-        return e1 if (d.conjugate() * e1).real > 0 else e2
-    # Moving from the origin in the ray direction sweeps the angle
-    # about the arc center monotonically; follow that sense.
-    rel = ray.origin - line.center
-    sense = (rel.conjugate() * ray.direction).imag
-    a0 = cmath.phase(rel)
-
-    def ahead(e: complex) -> float:
-        d = cmath.phase(e - line.center) - a0
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        return d * sense
-
-    return e1 if ahead(e1) > 0 else e2
-
-
 def _sector_entry(sb: SectorBoundary) -> dict:
     arcs = [
-        {"a": r.origin, "b": _ray_to_ideal(r)} for r in sb.rays
+        {"a": r.origin, "b": r.ideal_endpoint()} for r in sb.rays
     ]
     return {"vertex": sb.vertex, "arcs": arcs}
 

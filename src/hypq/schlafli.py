@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import polyint
 from .errors import (
     DegenerateInput,
     NotHyperbolic,
@@ -54,13 +53,6 @@ class Scheme(Enum):
     @property
     def tag(self) -> str:
         return self.value
-
-    @classmethod
-    def from_tag(cls, tag: str) -> "Scheme":
-        for s in cls:
-            if s.value == tag:
-                return s
-        raise ValueError(f"unknown scheme {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -254,41 +246,22 @@ def splitting_matrix(system: SplittingSystem) -> IntMatrix:
     return IntMatrix(regions, entries)
 
 
-def _poly_det(mat: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
-    """Determinant of a small matrix of integer polynomials."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return polyint.sub(
-            polyint.mul(mat[0][0], mat[1][1]), polyint.mul(mat[0][1], mat[1][0])
-        )
-    if n == 3:
-        total: tuple[int, ...] = (0,)
-        for j in range(3):
-            minor = [
-                [mat[1][k] for k in range(3) if k != j],
-                [mat[2][k] for k in range(3) if k != j],
-            ]
-            term = polyint.mul(mat[0][j], _poly_det(minor))
-            if j % 2:
-                term = tuple(-c for c in term)
-            total = polyint.add(total, term)
-        return total
-    raise ValueError("only orders 1..3 are needed here")
-
-
 def characteristic_polynomial(matrix: IntMatrix) -> tuple[int, ...]:
-    """det(X*I - M) by exact cofactor expansion; monic, descending."""
-    n = matrix.order
-    xi_minus_m: list[list[tuple[int, ...]]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            m = matrix.entries[i][j]
-            row.append((1, -m) if i == j else (-m,))
-        xi_minus_m.append(row)
-    poly = polyint.normalize(_poly_det(xi_minus_m))
-    if poly[0] != 1:
-        raise AssertionError("characteristic polynomial must be monic")
-    return poly
+    """det(X*I - M), monic, descending, for orders 1 to 3.
+
+    The coefficients after the leading 1 are -trace, then the sum of the
+    principal 2x2 minors, then -det (at order 2 the one minor is det).
+    """
+    m = matrix.entries
+    if matrix.order == 1:
+        ((a,),) = m
+        return (1, -a)
+    if matrix.order == 2:
+        (a, b), (c, d) = m
+        return (1, -(a + d), a * d - b * c)
+    if matrix.order == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return (1, -(a + e + i), minors, -det)
+    raise ValueError("only orders 1..3 are needed here")

@@ -25,20 +25,28 @@ For odd q the rays run along h-mid-point lines instead:
 
 Copies are indexed so that consecutive copies share a supporting line;
 cover_closure_residual and ring_partition measure how exactly the
-copies close up around the vertex.
+copies close up around the vertex.  cover builds the frame of named
+points at V (with the base tile and its half-edge) once and reads every
+copy from it; sector builds one copy the same way.
+
+A ray's heading is its run along its line's axis map (the line's own,
+built once): the pairing of a cover compares headings on that axis, and
+Ray.ideal_endpoint picks the end of the line the heading runs into,
+which is where render draws a sector wall to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .disc import (
     GEOM_TOL,
     Geodesic,
     Isometry,
     Tile,
-    _axis_distance,
+    _axis_height,
     base_tile,
     direction_toward,
     geodesic_through,
@@ -59,6 +67,13 @@ class Ray:
     origin: complex
     direction: complex
     line: Geodesic
+
+    def ideal_endpoint(self) -> complex:
+        """The ideal endpoint the ray runs into: the end of its line
+        whose image on the line's axis lies on the ray's heading."""
+        axis, heading, _ = _ray_frame(self)
+        e1, e2 = self.line.ideal_endpoints()
+        return e1 if axis(e1).real * heading > 0 else e2
 
 
 @dataclass(frozen=True)
@@ -162,18 +177,31 @@ def _check_scheme(pair: SchlafliPair, scheme: Scheme, kind: Region) -> None:
 class _VertexFrame:
     """The named points of the construction at the base vertex V.
 
-    V is the base tile vertex on the positive x-axis; c and b are the
-    head's edges at V, counter-clockwise from c to b across the head.
-    A is the mid-point of the outer-bisector edge at V, which points
-    radially away from the origin.  step rotates clockwise around V by
-    2pi/q, carrying b to c and A-labeled features to their neighbours.
+    tile is the base tile, whose vertex on the positive x-axis is V, and
+    half_edge its half-edge length; c and b are the head's edges at V,
+    counter-clockwise from c to b across the head.  A is the mid-point
+    of the outer-bisector edge at V, which points radially away from the
+    origin.  step rotates clockwise around V by 2pi/q, carrying b to c
+    and A-labeled features to their neighbours.  A cover builds one
+    frame and reads every copy from it.
     """
 
     pair: SchlafliPair
+    tile: Tile
+    half_edge: float
     vertex: complex
     b_mid: complex
     c_mid: complex
     a_mid: complex
+
+    def step(self, k: int) -> Isometry:
+        """Clockwise rotation about V by k tile-steps."""
+        return rotation(-2.0 * math.pi * k / self.pair.q, about=self.vertex)
+
+    @cached_property
+    def a_next(self) -> complex:
+        """A one step on: the outer mid-point of the next copy."""
+        return self.step(1)(self.a_mid)
 
 
 def _frame(pair: SchlafliPair) -> _VertexFrame:
@@ -181,13 +209,9 @@ def _frame(pair: SchlafliPair) -> _VertexFrame:
     v = tile.vertices[0]
     c_mid = hyp_midpoint(v, tile.vertices[1])
     b_mid = hyp_midpoint(v, tile.vertices[-1])
-    a_mid = point_at(v, 1.0 + 0j, tile_metrics(pair).half_edge)
-    return _VertexFrame(pair, v, b_mid, c_mid, a_mid)
-
-
-def _step(frame: _VertexFrame, k: int):
-    """Clockwise rotation about V by k tile-steps."""
-    return rotation(-2.0 * math.pi * k / frame.pair.q, about=frame.vertex)
+    half_edge = tile_metrics(pair).half_edge
+    a_mid = point_at(v, 1.0 + 0j, half_edge)
+    return _VertexFrame(pair, tile, half_edge, v, b_mid, c_mid, a_mid)
 
 
 def _ray_through(origin: complex, toward: complex) -> Ray:
@@ -200,29 +224,29 @@ def _ray_away(origin: complex, away_from: complex) -> Ray:
     )
 
 
-def _bisector_probe(pair: SchlafliPair, apex: complex, rays: tuple[Ray, Ray]) -> complex:
+def _bisector_probe(f: _VertexFrame, apex: complex, rays: tuple[Ray, Ray]) -> complex:
     """A point well inside a wedge, half an edge-half along its bisector."""
     d = rays[0].direction + rays[1].direction
-    return point_at(apex, d / abs(d), 0.5 * tile_metrics(pair).half_edge)
+    return point_at(apex, d / abs(d), 0.5 * f.half_edge)
 
 
-def _corner_patch(pair: SchlafliPair, step, witness: complex) -> CornerPatch:
+def _corner_patch(f: _VertexFrame, step: Isometry, witness: complex) -> CornerPatch:
     """The head-corner dihedral at this copy's vertex.
 
     step carries the base-tile frame to the copy; the two lines support
     the head's edges at the vertex, with the inner side fixed by the
     head centre.
     """
-    tile = base_tile(pair)
-    v = step(tile.vertices[0])
+    verts = f.tile.vertices
+    v = step(verts[0])
     lines = (
-        geodesic_through(v, step(tile.vertices[1])),
-        geodesic_through(v, step(tile.vertices[-1])),
+        geodesic_through(v, step(verts[1])),
+        geodesic_through(v, step(verts[-1])),
     )
     signs = tuple(
         math.copysign(1.0, line.signed_distance(witness)) for line in lines
     )
-    return CornerPatch(v, lines, signs, 1.5 * tile_metrics(pair).half_edge)
+    return CornerPatch(v, lines, signs, 1.5 * f.half_edge)
 
 
 def sector(
@@ -239,28 +263,38 @@ def sector(
     n = cover_size(pair, scheme, kind)
     if not 0 <= copy_index < n:
         raise ValueError(f"copy_index must be in 0..{n - 1}")
+    return _copy(_frame(pair), scheme, kind, copy_index)
 
+
+def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBoundary]:
+    """All copies of the sector that together tile around the vertex."""
+    _check_scheme(pair, scheme, kind)
     f = _frame(pair)
-    tile = base_tile(pair)
+    return [_copy(f, scheme, kind, k) for k in range(cover_size(pair, scheme, kind))]
 
+
+def _copy(
+    f: _VertexFrame, scheme: Scheme, kind: Region, copy_index: int
+) -> SectorBoundary:
+    """Copy copy_index of the sector, read from the frame."""
+    pair = f.pair
     if scheme is Scheme.EVEN_Q:
-        g = _step(f, copy_index)
-        v1, vp = g(tile.vertices[1]), g(tile.vertices[-1])
+        g = f.step(copy_index)
+        v1, vp = g(f.tile.vertices[1]), g(f.tile.vertices[-1])
         rays = (_ray_through(f.vertex, v1), _ray_through(f.vertex, vp))
         return SectorBoundary(
             pair, scheme, kind, f.vertex, rays, g(0j), copy_index
         )
 
     if kind is Region.S0:
-        g = _step(f, copy_index)
-        a_next = _step(f, 1)(f.a_mid)
+        g = f.step(copy_index)
         rays = (
             _ray_away(g(f.b_mid), g(f.a_mid)),
-            _ray_away(g(f.c_mid), g(a_next)),
+            _ray_away(g(f.c_mid), g(f.a_next)),
         )
         return SectorBoundary(
             pair, scheme, kind, f.vertex, rays, g(0j), copy_index,
-            corner=_corner_patch(pair, g, g(0j)),
+            corner=_corner_patch(f, g, g(0j)),
         )
 
     # S0' wedges: at an edge mid-point M, the two h-mid-point lines
@@ -273,21 +307,20 @@ def sector(
         # lines through C, each away from the near mid-point A, so one
         # boundary shares rho_C's line.  The wedge sits inside S0 and
         # misses the head, which is what the splitting rule needs.
-        return _away_wedge(pair, f, scheme, kind, copy_index, copy_index)
+        return _away_wedge(f, scheme, kind, copy_index, copy_index)
     turn, between = divmod(copy_index, 2)
-    g = _step(f, turn)
+    g = f.step(turn)
     if not between:
         apex = g(f.a_mid)
         rays = (_ray_through(apex, g(f.b_mid)), _ray_through(apex, g(f.c_mid)))
         return SectorBoundary(
             pair, scheme, kind, apex, rays, g(0j), copy_index,
-            corner=_corner_patch(pair, g, g(0j)),
+            corner=_corner_patch(f, g, g(0j)),
         )
-    return _away_wedge(pair, f, scheme, kind, turn, copy_index)
+    return _away_wedge(f, scheme, kind, turn, copy_index)
 
 
 def _away_wedge(
-    pair: SchlafliPair,
     f: _VertexFrame,
     scheme: Scheme,
     kind: Region,
@@ -295,30 +328,22 @@ def _away_wedge(
     copy_index: int,
 ) -> SectorBoundary:
     """The head-less wedge at an edge mid-point C, opening away from V."""
-    g = _step(f, turn)
+    g = f.step(turn)
     apex = g(f.c_mid)
-    a_here = g(f.a_mid)
-    a_next = g(_step(f, 1)(f.a_mid))
-    rays = (_ray_away(apex, a_here), _ray_away(apex, a_next))
+    rays = (_ray_away(apex, g(f.a_mid)), _ray_away(apex, g(f.a_next)))
     return SectorBoundary(
-        pair, scheme, kind, apex, rays, _bisector_probe(pair, apex, rays),
+        f.pair, scheme, kind, apex, rays, _bisector_probe(f, apex, rays),
         copy_index,
     )
-
-
-def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBoundary]:
-    """All copies of the sector that together tile around the vertex."""
-    return [
-        sector(pair, scheme, kind, k) for k in range(cover_size(pair, scheme, kind))
-    ]
 
 
 _ADVANCE = 0.5  # hyperbolic step used to probe a ray's heading
 
 
 def _ray_frame(ray: Ray) -> tuple[Isometry, float, complex]:
-    """A ray's axis map (its line onto the real diameter), its heading
-    along that axis, and its probe point _ADVANCE ahead of the origin."""
+    """A ray's axis map (its line's own, onto the real diameter), its
+    heading along that axis, and its probe point _ADVANCE ahead of the
+    origin."""
     axis = ray.line.to_axis()
     ahead = point_at(ray.origin, ray.direction, _ADVANCE)
     return axis, (axis(ahead) - axis(ray.origin)).real, ahead
@@ -330,18 +355,16 @@ def _heading_residual(
     """How far ray r2 is from running along r1's line with the same heading.
 
     axis and heading are r1's (_ray_frame); origin2 and ahead2 are r2's
-    origin and probe point.  Infinite when the headings oppose;
-    otherwise the worse of two probe distances from r1's supporting
-    line.  The probes sit on r2, so the residual is symmetric enough for
-    pairing purposes.
+    origin and probe point, each carried through the axis map once: the
+    real parts give r2's heading along r1's line, the heights its
+    distances from it.  Infinite when the headings oppose; otherwise the
+    worse of the two probe distances.  The probes sit on r2, so the
+    residual is symmetric enough for pairing purposes.
     """
-    delta2 = (axis(ahead2) - axis(origin2)).real
-    if heading * delta2 <= 0:
+    w_origin, w_ahead = axis(origin2), axis(ahead2)
+    if heading * (w_ahead - w_origin).real <= 0:
         return math.inf
-    return max(
-        abs(_axis_distance(axis, origin2)),
-        abs(_axis_distance(axis, ahead2)),
-    )
+    return max(abs(_axis_height(w_origin)), abs(_axis_height(w_ahead)))
 
 
 def cover_closure_residual(sectors: list[SectorBoundary]) -> float:

@@ -11,6 +11,10 @@ The dedup index and the SVG path text are kept here as they were before
 hypq probed a 2x2 grid and formatted each path once: a 3x3 probe of
 tol-sized cells, and one f-string per number with its own -0 check.
 
+``ray_to_ideal`` picks the end of a ray's line by following the angle
+about the arc center, the way render chose it before a ray's heading
+along its line's axis decided.
+
 ``locate_edge`` finds the tile edge realizing a segment, for tests that
 check a walk runs on tessellation edges.
 
@@ -20,6 +24,7 @@ was built before each son was placed as its father's mirror image,
 with the side numbering and the errors that lookup needs.
 """
 
+import cmath
 import math
 
 from hypq.disc import Isometry, Tile, base_tile, point_at
@@ -278,6 +283,27 @@ _ADVANCE = 0.5
 def _signed_distance(geodesic, z: complex) -> float:
     w = geodesic.to_axis()(z)
     return math.asinh(2.0 * w.imag / (1.0 - abs(w) ** 2))
+
+
+def ray_to_ideal(ray) -> complex:
+    """The ideal endpoint the ray runs into."""
+    line = ray.line
+    e1, e2 = line.ideal_endpoints()
+    if line.center is None:
+        d = ray.direction
+        return e1 if (d.conjugate() * e1).real > 0 else e2
+    # Moving from the origin in the ray direction sweeps the angle
+    # about the arc center monotonically; follow that sense.
+    rel = ray.origin - line.center
+    sense = (rel.conjugate() * ray.direction).imag
+    a0 = cmath.phase(rel)
+
+    def ahead(e: complex) -> float:
+        d = cmath.phase(e - line.center) - a0
+        d = (d + math.pi) % (2.0 * math.pi) - math.pi
+        return d * sense
+
+    return e1 if ahead(e1) > 0 else e2
 
 
 def heading_residual(r1, r2) -> float:

@@ -26,7 +26,7 @@ _SWEEP = sorted(
 )
 
 SWEEP_SAMPLE = [
-    (validate(p, q), Scheme.from_tag(tag))
+    (validate(p, q), Scheme(tag))
     for p, q, tag in _SWEEP[::25]
     + [
         (900, 4, "even-q"),

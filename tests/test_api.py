@@ -38,3 +38,39 @@ def test_every_export_resolves():
     assert len(set(hypq.__all__)) == len(hypq.__all__)
     for name in hypq.__all__:
         assert getattr(hypq, name, None) is not None, name
+
+
+def _heading_rules():
+    """(module, function) for each function that picks an end of a line
+    for a ray: it calls ideal_endpoints and reads a ray's origin or
+    direction, an angle, or the ray's axis frame."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+            names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            reads = (attrs | names) & {"origin", "direction", "phase", "_ray_frame"}
+            if "ideal_endpoints" in attrs and reads:
+                found.add((path.stem, fn.name))
+    return found
+
+
+def test_each_line_decision_has_one_home():
+    # a line's signed distance goes through its own axis map, not a
+    # helper that takes a map from outside ...
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+    assert "_axis_distance" not in names
+    # ... and which way a ray runs is decided in one place
+    assert _heading_rules() == {("sectors", "ideal_endpoint")}

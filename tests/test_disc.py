@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geometry_oracle
 from hypq.disc import (
     angle_at,
     base_tile,
@@ -162,6 +163,18 @@ def test_axis_model_of_geodesic():
     # to_axis sends the line to the real diameter
     assert abs(axis(0.3 + 0.4j).imag) < 1e-9
     assert abs(axis(-0.2 + 0.35j).imag) < 1e-9
+
+
+@given(points, points, points)
+def test_axis_map_is_built_once_and_measures_distance(u, v, z):
+    # a line keeps its axis map; signed_distance reads that map and
+    # agrees to the bit with the distance computed from it afresh
+    if abs(u - v) < 1e-3:
+        return
+    for g in (geodesic_through(u, v), geodesic_through(-0.5 + 0j, 0.5 + 0j)):
+        assert g.to_axis() is g.to_axis()
+        want = geometry_oracle._signed_distance(g, z)
+        assert g.signed_distance(z).hex() == want.hex()
 
 
 def test_geodesic_validation():

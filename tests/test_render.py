@@ -181,6 +181,14 @@ PINNED_SVGS = [
         lambda: midlines_scene(validate(7, 3), 6),
         "3b245e92c8bf0a830c8be1fd5ac2b6a36babc39d4e04cec559266c3e4a4834cf",
     ),
+    (
+        lambda: sector_scene(validate(4, 5), Scheme.ODD_V1, 3),
+        "804b0dfc5e83669322cbeda74e2ed3b6119255074ffc6ce4985a53f9015bcaf5",
+    ),
+    (
+        lambda: sector_scene(validate(5, 7), Scheme.ODD_V1, 2),
+        "d731ff5a41fd5ade02f6f54512c78336633ec60c7fc7611194bd71e25ce95163",
+    ),
 ]
 
 

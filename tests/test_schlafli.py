@@ -13,6 +13,7 @@ from hypq.errors import (
     UnsupportedCase,
 )
 from hypq.schlafli import (
+    IntMatrix,
     Region,
     Scheme,
     _fan_blocks,
@@ -57,9 +58,9 @@ def test_validate_matches_angle_sum_criterion(p, q):
 
 def test_scheme_tags_round_trip():
     for scheme in Scheme:
-        assert Scheme.from_tag(scheme.tag) is scheme
+        assert Scheme(scheme.tag) is scheme
     with pytest.raises(ValueError):
-        Scheme.from_tag("nonsense")
+        Scheme("nonsense")
 
 
 def test_parity_guards():
@@ -139,6 +140,13 @@ def test_characteristic_polynomial_is_monic_and_exact():
         m = splitting_matrix(build_system(validate(p, q), Scheme.EVEN_Q))
         (a, b), (c, d) = m.entries
         assert characteristic_polynomial(m) == (1, -(a + d), a * d - b * c)
+
+
+def test_characteristic_polynomial_orders():
+    assert characteristic_polynomial(IntMatrix((Region.S0,), ((3,),))) == (1, -3)
+    four = IntMatrix((Region.S0,) * 4, ((1, 0, 0, 0),) * 4)
+    with pytest.raises(ValueError):
+        characteristic_polynomial(four)
 
 
 def test_characteristic_polynomial_cubic_oracle():

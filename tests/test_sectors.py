@@ -1,12 +1,13 @@
 """Sector wedges around a vertex: membership, covers, partitions, fans."""
 
+import hashlib
 import math
 from collections import Counter
 
 import pytest
 
 import geometry_oracle
-from hypq import verify
+from hypq import sectors, verify
 from hypq.disc import base_tile, hyp_distance, point_at
 from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.schlafli import Region, Scheme, validate
@@ -57,6 +58,61 @@ COVERS = [
     (5, 7, Scheme.ODD_V2, Region.S0_PRIME, 4.0),
     (4, 5, Scheme.ODD_V2, Region.S0_PRIME, 2.0),
 ]
+
+
+#: SHA-256 of repr(cover(...)) for the covers the geometry benchmark runs.
+PINNED_COVERS = {
+    (5, 4, Scheme.EVEN_Q, Region.S0):
+        "201a50fcf133a02ab1d64ec57d364f72c680b48f2de90ec148e71fe949574f94",
+    (6, 4, Scheme.EVEN_Q, Region.S0):
+        "758152a826c6a4912f98ed228882e232d5b175e36c29f04d3413a889ed60accc",
+    (8, 8, Scheme.EVEN_Q, Region.S0):
+        "91f526f790ee747cbccf3866ba371f4ac4ac941814b748b4343e4a2a5e9cc3aa",
+    (4, 5, Scheme.ODD_V1, Region.S0):
+        "94d2c310bb787194b81309a8619bba574e9d925d6ed8ac8c8de3a8d882b2c645",
+    (4, 5, Scheme.ODD_V2, Region.S0_PRIME):
+        "122e60b03ad7f787a37b2315ce76ee4898b7cc666c908e9ab333498f0a143286",
+    (5, 7, Scheme.ODD_V1, Region.S0):
+        "4960cb0f20392db9b22a7c2f439607d07103fe2e4b62b95db7242fd5222334ad",
+    (5, 7, Scheme.ODD_V2, Region.S0_PRIME):
+        "297428ec8bcf52c62b083e8f139972c1b9139d29d2a496d34dcd28d1f7277bbf",
+}
+
+
+@pytest.mark.parametrize("p,q,scheme,kind", PINNED_COVERS)
+def test_cover_bytes_are_pinned(p, q, scheme, kind):
+    pair = validate(p, q)
+    cov = cover(pair, scheme, kind)
+    digest = hashlib.sha256(repr(cov).encode()).hexdigest()
+    assert digest == PINNED_COVERS[p, q, scheme, kind]
+    # a copy built alone is the copy the cover builds
+    for k, copy in enumerate(cov):
+        assert sector(pair, scheme, kind, k) == copy
+
+
+@pytest.mark.parametrize("p,q,scheme,kind", PINNED_COVERS)
+def test_rays_run_into_the_end_the_angle_rule_picks(p, q, scheme, kind):
+    for copy in cover(validate(p, q), scheme, kind):
+        for ray in copy.rays:
+            assert ray.ideal_endpoint() == geometry_oracle.ray_to_ideal(ray)
+
+
+def test_a_cover_builds_one_frame(monkeypatch):
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sectors, "_frame", counted(sectors._frame))
+    monkeypatch.setattr(sectors, "base_tile", counted(sectors.base_tile))
+    for p, q, scheme, kind in PINNED_COVERS:
+        calls.clear()
+        cover(validate(p, q), scheme, kind)
+        assert calls == {"_frame": 1, "base_tile": 1}, (p, q, scheme)
 
 
 @pytest.mark.parametrize("p,q,scheme,kind,radius", COVERS)
