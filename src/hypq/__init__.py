@@ -43,7 +43,7 @@ from .schlafli import (
     splitting_matrix,
     validate,
 )
-from .sectors import SectorBoundary, assign_region, cover, cover_closure_residual, sector
+from .sectors import SectorBoundary, cover, cover_closure_residual, sector
 from .spectral import SpectralReport, analyze, find_roots, is_pisot, strip_factors
 from .tiling import Tessellation, tessellate
 from .tree import SpanningTree, generate, recurrence_check
@@ -67,7 +67,6 @@ __all__ = [
     "Tessellation",
     "Tile",
     "analyze",
-    "assign_region",
     "base_tile",
     "basis",
     "build_system",

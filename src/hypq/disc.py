@@ -208,9 +208,6 @@ class Geodesic:
         """Hyperbolic distance to the line, signed by side."""
         return _axis_height(self._axis(z))
 
-    def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
-        return abs(self.signed_distance(z)) < tol
-
     def reflection(self) -> Isometry:
         return Isometry(*_mirror(self.center, self.radius, self.direction), anti=True)
 

@@ -1,4 +1,4 @@
-"""Sector boundaries for the splitting schemes, and region membership.
+"""Sector boundaries for the splitting schemes.
 
 All sectors are wedges: the intersection of two half-planes whose
 bounding geodesics meet at a single point.  For even q the wedge sits at
@@ -9,11 +9,7 @@ For odd q the rays run along h-mid-point lines instead:
   from the mid-points B and C of the head's two edges at V; rho_B is
   supported by the line through B and A, where A is the mid-point of
   the edge bisecting the outer angle at V, and rho_C is the rotated
-  image of rho_B taking B to C.  Between B and C the boundary follows
-  the head's edges into V (the corner patch), so of the head's vertices
-  only the far endpoint of edge b falls outside; there sits a fan of
-  h-1 tiles, each likewise poking just that one vertex out, which is
-  why membership asks for at most one vertex outside.
+  image of rho_B taking B to C.
 
 * S0' is a wedge at an edge mid-point between the two h-mid-point
   lines crossing there.  The copy the first odd scheme splits off S0
@@ -23,11 +19,13 @@ For odd q the rays run along h-mid-point lines instead:
   alternate with q such away-opening copies at the edge mid-points
   C_k, giving the 2q-fold cover.
 
-Copies are indexed so that consecutive copies share a supporting line;
-cover_closure_residual and ring_partition measure how exactly the
-copies close up around the vertex.  cover builds the frame of named
-points at V (with the base tile and its half-edge) once and reads every
-copy from it; sector builds one copy the same way.
+A copy is its two rays and a witness point inside it, nothing more: the
+rays are drawn and checked for closure, and no membership is decided
+here.  Copies are indexed so that consecutive copies share a supporting
+line; cover_closure_residual measures how exactly the copies close up
+around the vertex.  cover builds the frame of named points at V (with
+the base tile and its half-edge) once and reads every copy from it;
+sector builds one copy the same way.
 
 A ray's heading is its run along its line's axis map (the line's own,
 built once): the pairing of a cover compares headings on that axis, and
@@ -42,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .disc import (
-    GEOM_TOL,
     Geodesic,
     Isometry,
     Tile,
@@ -50,7 +47,6 @@ from .disc import (
     base_tile,
     direction_toward,
     geodesic_through,
-    hyp_distance,
     hyp_midpoint,
     point_at,
     rotation,
@@ -77,39 +73,13 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class CornerPatch:
-    """Near-vertex piece of a region headed by a tile at vertex V.
-
-    Between the mid-points B and C the region boundary follows the
-    head's two edges into V rather than the mid-point lines, so the head
-    keeps its corner inside the region.  The patch is the dihedral at V
-    between the two edge lines, clipped to 1.5 half-edges of V: wide
-    enough to absorb the sliver the mid-point lines cut off, short of
-    the edges' far endpoints, which lie outside the region.
-    """
-
-    vertex: complex
-    lines: tuple[Geodesic, Geodesic]
-    signs: tuple[float, float]
-    radius: float
-
-    def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
-        if hyp_distance(self.vertex, z) > self.radius:
-            return False
-        return all(
-            line.signed_distance(z) * sign >= -tol
-            for line, sign in zip(self.lines, self.signs)
-        )
-
-
-@dataclass(frozen=True)
 class SectorBoundary:
     """A wedge-shaped region: two rays bounding 1/q-th of the plane.
 
-    Membership is decided against the full supporting lines, using the
-    witness point to fix the inner side of each; for regions whose
-    boundary runs along head edges near the vertex, the corner patch
-    restores the sliver the supporting lines cut off.
+    vertex is the point the copy is built around: V for the copies that
+    pivot on the base vertex, the apex of an S0' wedge otherwise.  The
+    witness lies inside the copy, off both supporting lines; render
+    writes the copy_index there.
     """
 
     pair: SchlafliPair
@@ -119,36 +89,6 @@ class SectorBoundary:
     rays: tuple[Ray, Ray]
     witness: complex
     copy_index: int
-    corner: CornerPatch | None = None
-
-    def side_signs(self) -> tuple[float, float]:
-        signs = []
-        for ray in self.rays:
-            s = ray.line.signed_distance(self.witness)
-            if abs(s) < 10 * GEOM_TOL:
-                raise AssertionError("witness too close to a boundary line")
-            signs.append(math.copysign(1.0, s))
-        return signs[0], signs[1]
-
-    def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
-        """True when z lies in the region; the boundary counts as inside."""
-        in_wedge = all(
-            ray.line.signed_distance(z) * sign >= -tol
-            for ray, sign in zip(self.rays, self.side_signs())
-        )
-        if in_wedge:
-            return True
-        return self.corner is not None and self.corner.contains(z, tol)
-
-    def clearance(self, z: complex) -> float:
-        """Distance to the nearest boundary line (side-agnostic)."""
-        return min(abs(ray.line.signed_distance(z)) for ray in self.rays)
-
-
-def assign_region(tile: Tile, sector: SectorBoundary, tol: float = GEOM_TOL) -> bool:
-    """Membership of a tile: at most one vertex strictly outside the sector."""
-    outside = sum(1 for v in tile.vertices if not sector.contains(v, tol))
-    return outside <= 1
 
 
 def cover_size(pair: SchlafliPair, scheme: Scheme, kind: Region) -> int:
@@ -230,25 +170,6 @@ def _bisector_probe(f: _VertexFrame, apex: complex, rays: tuple[Ray, Ray]) -> co
     return point_at(apex, d / abs(d), 0.5 * f.half_edge)
 
 
-def _corner_patch(f: _VertexFrame, step: Isometry, witness: complex) -> CornerPatch:
-    """The head-corner dihedral at this copy's vertex.
-
-    step carries the base-tile frame to the copy; the two lines support
-    the head's edges at the vertex, with the inner side fixed by the
-    head centre.
-    """
-    verts = f.tile.vertices
-    v = step(verts[0])
-    lines = (
-        geodesic_through(v, step(verts[1])),
-        geodesic_through(v, step(verts[-1])),
-    )
-    signs = tuple(
-        math.copysign(1.0, line.signed_distance(witness)) for line in lines
-    )
-    return CornerPatch(v, lines, signs, 1.5 * f.half_edge)
-
-
 def sector(
     pair: SchlafliPair, scheme: Scheme, kind: Region, copy_index: int = 0
 ) -> SectorBoundary:
@@ -292,10 +213,7 @@ def _copy(
             _ray_away(g(f.b_mid), g(f.a_mid)),
             _ray_away(g(f.c_mid), g(f.a_next)),
         )
-        return SectorBoundary(
-            pair, scheme, kind, f.vertex, rays, g(0j), copy_index,
-            corner=_corner_patch(f, g, g(0j)),
-        )
+        return SectorBoundary(pair, scheme, kind, f.vertex, rays, g(0j), copy_index)
 
     # S0' wedges: at an edge mid-point M, the two h-mid-point lines
     # through M cross; the two sectors there are the vertical pair of
@@ -313,10 +231,7 @@ def _copy(
     if not between:
         apex = g(f.a_mid)
         rays = (_ray_through(apex, g(f.b_mid)), _ray_through(apex, g(f.c_mid)))
-        return SectorBoundary(
-            pair, scheme, kind, apex, rays, g(0j), copy_index,
-            corner=_corner_patch(f, g, g(0j)),
-        )
+        return SectorBoundary(pair, scheme, kind, apex, rays, g(0j), copy_index)
     return _away_wedge(f, scheme, kind, turn, copy_index)
 
 
@@ -394,46 +309,3 @@ def cover_closure_residual(sectors: list[SectorBoundary]) -> float:
             return math.inf  # wall shared by three copies: not a cover
         worst = max(worst, gaps[0])
     return worst
-
-
-@dataclass(frozen=True)
-class RingReport:
-    """Point-sampling census of a cover on a circle around the vertex."""
-
-    samples: int
-    skipped: int
-    min_hits: int
-    max_hits: int
-    uncovered: int
-
-
-def ring_partition(
-    sectors: list[SectorBoundary],
-    center: complex,
-    radius: float,
-    samples: int = 720,
-    skip_clearance: float = 1e-6,
-) -> RingReport:
-    """Sample a hyperbolic circle and count covering copies per sample.
-
-    Samples too close to a boundary line are counted for coverage (with
-    tolerance) but skipped for the exactly-once census.
-    """
-    skipped = 0
-    uncovered = 0
-    hits_lo, hits_hi = len(sectors), 0
-    for i in range(samples):
-        ang = 2.0 * math.pi * (i + 0.5) / samples
-        z = point_at(center, complex(math.cos(ang), math.sin(ang)), radius)
-        if not any(s.contains(z) for s in sectors):
-            uncovered += 1
-            continue
-        if min(s.clearance(z) for s in sectors) < skip_clearance:
-            skipped += 1
-            continue
-        strict = sum(1 for s in sectors if s.contains(z, tol=-skip_clearance))
-        hits_lo = min(hits_lo, strict)
-        hits_hi = max(hits_hi, strict)
-    if hits_hi == 0:
-        hits_lo = 0
-    return RingReport(samples, skipped, hits_lo, hits_hi, uncovered)

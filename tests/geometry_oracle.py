@@ -22,15 +22,40 @@ check a walk runs on tessellation edges.
 tessellation two generations deeper than the tree, the way the sector
 was built before each son was placed as its father's mirror image,
 with the side numbering and the errors that lookup needs.
+
+``Membership`` and ``ring_census`` decide in floats which points and
+tiles a copy of a sector cover holds; hypq's covers carry only rays and
+a witness.  A copy is the wedge between its two supporting lines, on
+the witness's side of each.  For an odd-q S0 copy (and each head-bearing
+S0' copy of the doubled scheme) the boundary between the mid-points B
+and C follows the head's two edges into V instead, so the head keeps
+its corner: the corner patch is the dihedral at V between those edges,
+clipped to 1.5 half-edges of V, short of the edges' far endpoints.  Of
+the head's vertices only the far endpoint of edge b then falls outside;
+there sits a fan of h-1 tiles, each likewise poking just that one
+vertex out, which is why a copy owns a tile with at most one vertex
+outside.  ``ring_census`` samples a circle around the vertex and counts
+the copies over each sample, which shows how exactly the copies
+partition the plane.
 """
 
 import cmath
 import math
 
-from hypq.disc import Isometry, Tile, base_tile, point_at
+from hypq.disc import (
+    GEOM_TOL,
+    Isometry,
+    Tile,
+    base_tile,
+    geodesic_through,
+    hyp_distance,
+    point_at,
+    rotation,
+    tile_metrics,
+)
 from hypq.dual import fibonacci_tree
 from hypq.errors import HypqError, PrecisionExhausted
-from hypq.schlafli import Region, validate
+from hypq.schlafli import Region, Scheme, validate
 from hypq.tiling import tessellate as tessellate_tiling
 
 
@@ -335,3 +360,88 @@ def cover_closure_residual(sectors) -> float:
             return math.inf
         worst = max(worst, gaps[0])
     return worst
+
+
+def _inner_sides(lines, witness):
+    """Each line with the sign of its side that holds the witness."""
+    sides = []
+    for line in lines:
+        s = line.signed_distance(witness)
+        if abs(s) < 10 * GEOM_TOL:
+            raise AssertionError("witness too close to a boundary line")
+        sides.append((line, math.copysign(1.0, s)))
+    return tuple(sides)
+
+
+def _within(sides, z, tol):
+    return all(line.signed_distance(z) * sign >= -tol for line, sign in sides)
+
+
+def _head_corner(sector):
+    """(V, inner sides, radius) of a head-bearing odd copy's corner patch,
+    None for the other copies: the base tile's two edges at V, turned
+    about V with the copy."""
+    k = sector.copy_index
+    if sector.scheme is Scheme.ODD_V1 and sector.kind is Region.S0:
+        turn = k
+    elif sector.scheme is Scheme.ODD_V2 and k % 2 == 0:
+        turn = k // 2
+    else:
+        return None
+    pair = sector.pair
+    verts = base_tile(pair).vertices
+    step = rotation(-2.0 * math.pi * turn / pair.q, about=verts[0])
+    v = step(verts[0])
+    lines = (geodesic_through(v, step(verts[1])), geodesic_through(v, step(verts[-1])))
+    return v, _inner_sides(lines, sector.witness), 1.5 * tile_metrics(pair).half_edge
+
+
+class Membership:
+    """One copy of a cover as a float region, its sides fixed once."""
+
+    def __init__(self, sector):
+        self.walls = _inner_sides([ray.line for ray in sector.rays], sector.witness)
+        self.corner = _head_corner(sector)
+
+    def contains(self, z, tol=GEOM_TOL):
+        """True when z lies in the copy; the boundary counts as inside."""
+        if _within(self.walls, z, tol):
+            return True
+        if self.corner is None:
+            return False
+        vertex, sides, radius = self.corner
+        return hyp_distance(vertex, z) <= radius and _within(sides, z, tol)
+
+    def clearance(self, z):
+        """Distance to the nearer supporting line, either side."""
+        return min(abs(line.signed_distance(z)) for line, _ in self.walls)
+
+    def owns(self, tile):
+        """At most one vertex of the tile strictly outside the copy."""
+        return sum(not self.contains(v) for v in tile.vertices) <= 1
+
+
+def ring_census(sectors, center, radius):
+    """(samples, skipped, min_hits, max_hits, uncovered) on a hyperbolic
+    circle of 720 samples: samples no copy covers are uncovered; those
+    within 1e-6 of a supporting line are skipped; the hits of the rest
+    count the copies holding them 1e-6 inside."""
+    samples, skip_clearance = 720, 1e-6
+    copies = [Membership(s) for s in sectors]
+    skipped = uncovered = 0
+    hits_lo, hits_hi = len(copies), 0
+    for i in range(samples):
+        ang = 2.0 * math.pi * (i + 0.5) / samples
+        z = point_at(center, complex(math.cos(ang), math.sin(ang)), radius)
+        if not any(c.contains(z) for c in copies):
+            uncovered += 1
+            continue
+        if min(c.clearance(z) for c in copies) < skip_clearance:
+            skipped += 1
+            continue
+        strict = sum(c.contains(z, tol=-skip_clearance) for c in copies)
+        hits_lo = min(hits_lo, strict)
+        hits_hi = max(hits_hi, strict)
+    if hits_hi == 0:
+        hits_lo = 0
+    return samples, skipped, hits_lo, hits_hi, uncovered

@@ -74,3 +74,35 @@ def test_each_line_decision_has_one_home():
     assert "_axis_distance" not in names
     # ... and which way a ray runs is decided in one place
     assert _heading_rules() == {("sectors", "ideal_endpoint")}
+
+
+def test_sectors_carry_no_membership():
+    # a sector copy is its rays and a witness; membership lives in the
+    # test oracle
+    tree = ast.parse((SRC / "sectors.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    gone = {
+        "contains",
+        "clearance",
+        "side_signs",
+        "CornerPatch",
+        "assign_region",
+        "ring_partition",
+        "RingReport",
+    }
+    assert defined & gone == set()
+    (boundary,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SectorBoundary"
+    )
+    fields = [
+        node.target.id for node in boundary.body if isinstance(node, ast.AnnAssign)
+    ]
+    assert fields == [
+        "pair", "scheme", "kind", "vertex", "rays", "witness", "copy_index"
+    ]

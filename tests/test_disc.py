@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import geometry_oracle
 from hypq.disc import (
+    GEOM_TOL,
     angle_at,
     base_tile,
     direction_toward,
@@ -128,7 +129,8 @@ def test_geodesic_through_diameter_and_arc():
     assert g.center is not None  # an arc
     # orthogonality to the unit circle: |c|^2 = r^2 + 1
     assert abs(abs(g.center) ** 2 - g.radius**2 - 1) < 1e-12
-    assert g.contains(0.5) and g.contains(0.5j)
+    assert abs(g.signed_distance(0.5)) < GEOM_TOL
+    assert abs(g.signed_distance(0.5j)) < GEOM_TOL
     for e in g.ideal_endpoints():
         assert abs(abs(e) - 1) < 1e-12
         assert abs(abs(e - g.center) - g.radius) < 1e-12

@@ -1,4 +1,5 @@
-"""Sector wedges around a vertex: membership, covers, partitions, fans."""
+"""Sector wedges around a vertex: covers, and through the membership
+oracle, partitions and fans."""
 
 import hashlib
 import math
@@ -11,15 +12,10 @@ from hypq import sectors, verify
 from hypq.disc import base_tile, hyp_distance, point_at
 from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.schlafli import Region, Scheme, validate
-from hypq.sectors import (
-    assign_region,
-    cover,
-    cover_closure_residual,
-    cover_size,
-    ring_partition,
-    sector,
-)
+from hypq.sectors import cover, cover_closure_residual, cover_size, sector
 from hypq.tiling import tessellate
+
+Membership = geometry_oracle.Membership
 
 TOL = 1e-9
 
@@ -59,23 +55,39 @@ COVERS = [
     (4, 5, Scheme.ODD_V2, Region.S0_PRIME, 2.0),
 ]
 
+_ONCE = (720, 0, 1, 1, 0)
+
+#: ring_census (samples, skipped, min_hits, max_hits, uncovered) of each
+#: COVERS entry at radii 0.3, 1.0 and 2.5, then at the entry's own radius
+CENSUS = {
+    (5, 4, Scheme.EVEN_Q): [_ONCE] * 4,
+    (6, 4, Scheme.EVEN_Q): [_ONCE] * 4,
+    (8, 6, Scheme.EVEN_Q): [_ONCE] * 4,
+    (5, 7, Scheme.ODD_V1): [(720, 0, 1, 2, 0), (720, 0, 1, 2, 0), _ONCE, _ONCE],
+    (4, 5, Scheme.ODD_V1): [(720, 0, 1, 2, 0), _ONCE, _ONCE, _ONCE],
+    (5, 7, Scheme.ODD_V2): [
+        (720, 0, 1, 3, 0), (720, 0, 1, 5, 0), (720, 0, 1, 2, 0), _ONCE
+    ],
+    (4, 5, Scheme.ODD_V2): [(720, 0, 1, 3, 0), (720, 0, 1, 3, 0), _ONCE, _ONCE],
+}
+
 
 #: SHA-256 of repr(cover(...)) for the covers the geometry benchmark runs.
 PINNED_COVERS = {
     (5, 4, Scheme.EVEN_Q, Region.S0):
-        "201a50fcf133a02ab1d64ec57d364f72c680b48f2de90ec148e71fe949574f94",
+        "0bc34d5fadf05b72fd5632cd64edb638a379216bc2b359313179e6d5a7432c99",
     (6, 4, Scheme.EVEN_Q, Region.S0):
-        "758152a826c6a4912f98ed228882e232d5b175e36c29f04d3413a889ed60accc",
+        "43528e330f66043c4715699cbbb93567e0a9c6e02453f65a573514271fb973ac",
     (8, 8, Scheme.EVEN_Q, Region.S0):
-        "91f526f790ee747cbccf3866ba371f4ac4ac941814b748b4343e4a2a5e9cc3aa",
+        "0d3999d6de1181825823f9ec4e9d076b986f870c0189ddf10ccf3fcb0c00b1e7",
     (4, 5, Scheme.ODD_V1, Region.S0):
-        "94d2c310bb787194b81309a8619bba574e9d925d6ed8ac8c8de3a8d882b2c645",
+        "5d4f093c81d9fa353f0ac029084cd66e08ab7ddd475aab97e26180ef6cbdcc3e",
     (4, 5, Scheme.ODD_V2, Region.S0_PRIME):
-        "122e60b03ad7f787a37b2315ce76ee4898b7cc666c908e9ab333498f0a143286",
+        "69d53b0e215f17db2af8bb78c2b90024f1706659025cf37d38cefd6b02456a26",
     (5, 7, Scheme.ODD_V1, Region.S0):
-        "4960cb0f20392db9b22a7c2f439607d07103fe2e4b62b95db7242fd5222334ad",
+        "a93bb8b2d52b55d7fcc791457d35af71a325ebe601da6dc65af09ebf5a349511",
     (5, 7, Scheme.ODD_V2, Region.S0_PRIME):
-        "297428ec8bcf52c62b083e8f139972c1b9139d29d2a496d34dcd28d1f7277bbf",
+        "ce590f5bab91b82df6efe855f1f8a3881467f027fe47a0be6bd12765e6c93244",
 }
 
 
@@ -109,10 +121,13 @@ def test_a_cover_builds_one_frame(monkeypatch):
 
     monkeypatch.setattr(sectors, "_frame", counted(sectors._frame))
     monkeypatch.setattr(sectors, "base_tile", counted(sectors.base_tile))
+    monkeypatch.setattr(sectors, "geodesic_through", counted(sectors.geodesic_through))
     for p, q, scheme, kind in PINNED_COVERS:
         calls.clear()
-        cover(validate(p, q), scheme, kind)
-        assert calls == {"_frame": 1, "base_tile": 1}, (p, q, scheme)
+        n = len(cover(validate(p, q), scheme, kind))
+        # one line per ray, and no other
+        want = {"_frame": 1, "base_tile": 1, "geodesic_through": 2 * n}
+        assert calls == want, (p, q, scheme)
 
 
 @pytest.mark.parametrize("p,q,scheme,kind,radius", COVERS)
@@ -124,10 +139,11 @@ def test_cover_closes_up(p, q, scheme, kind, radius):
 @pytest.mark.parametrize("p,q,scheme,kind,radius", COVERS)
 def test_cover_is_a_cover_at_every_radius(p, q, scheme, kind, radius):
     cov = cover(validate(p, q), scheme, kind)
-    for r in (0.3, 1.0, 2.5):
-        rp = ring_partition(cov, cov[0].vertex, r)
-        assert rp.uncovered == 0
-        assert rp.min_hits >= 1
+    for r, want in zip((0.3, 1.0, 2.5), CENSUS[p, q, scheme]):
+        census = geometry_oracle.ring_census(cov, cov[0].vertex, r)
+        assert census == want, r
+        _, _, min_hits, _, uncovered = census
+        assert uncovered == 0 and min_hits >= 1
 
 
 @pytest.mark.parametrize("p,q,scheme,kind,radius", COVERS)
@@ -135,15 +151,16 @@ def test_cover_partitions_beyond_the_corner_zone(p, q, scheme, kind, radius):
     # near the vertex the corner patches and crossing walls overlap by
     # design; past that zone every direction is covered exactly once
     cov = cover(validate(p, q), scheme, kind)
-    rp = ring_partition(cov, cov[0].vertex, radius)
-    assert rp.uncovered == 0 and rp.min_hits == rp.max_hits == 1, rp
+    census = geometry_oracle.ring_census(cov, cov[0].vertex, radius)
+    assert census == CENSUS[p, q, scheme][3] == _ONCE
 
 
 def test_sectors_contain_their_witness():
     for p, q, scheme, kind, _ in COVERS:
         for s in cover(validate(p, q), scheme, kind):
-            assert s.contains(s.witness)
-            assert s.clearance(s.witness) > 0
+            copy = Membership(s)
+            assert copy.contains(s.witness)
+            assert copy.clearance(s.witness) > 0
 
 
 def test_single_head_copies_partition_the_tiles():
@@ -156,38 +173,40 @@ def test_single_head_copies_partition_the_tiles():
     ]:
         pair = validate(p, q)
         kind = Region.S0
-        cov = cover(pair, scheme, kind)
+        copies = [Membership(s) for s in cover(pair, scheme, kind)]
         for tile in tessellate(pair, 2).tiles:
-            assert sum(assign_region(tile, s) for s in cov) == 1, (p, q, tile.id)
+            assert sum(c.owns(tile) for c in copies) == 1, (p, q, tile.id)
 
 
 def test_doubled_copies_split_the_near_vertex_tiles():
     # the doubled odd variant cuts each tile at the vertex between two
     # adjacent copies, so those tiles belong to no single copy; every
     # other tile lands in exactly one, and none in two
-    pair = validate(5, 7)
-    cov = cover(pair, Scheme.ODD_V2, Region.S0_PRIME)
-    V = cov[0].vertex
-    owners = Counter()
-    unassigned = []
-    for tile in tessellate(pair, 2).tiles:
-        n = sum(assign_region(tile, s) for s in cov)
-        owners[n] += 1
-        assert n <= 1, tile.id
-        if n == 0:
-            unassigned.append(tile)
-    assert owners[1] == 21 and owners[0] == 5
-    assert all(hyp_distance(t.center, V) < 3.0 for t in unassigned)
+    for p, q, owned, split in [(5, 7, 21, 5), (4, 5, 10, 7)]:
+        pair = validate(p, q)
+        cov = cover(pair, Scheme.ODD_V2, Region.S0_PRIME)
+        copies = [Membership(s) for s in cov]
+        V = cov[0].vertex
+        owners = Counter()
+        unassigned = []
+        for tile in tessellate(pair, 2).tiles:
+            n = sum(c.owns(tile) for c in copies)
+            owners[n] += 1
+            assert n <= 1, (p, q, tile.id)
+            if n == 0:
+                unassigned.append(tile)
+        assert owners == {1: owned, 0: split}, (p, q)
+        assert all(hyp_distance(t.center, V) < 3.0 for t in unassigned)
 
 
 def test_even_sector_reproduces_the_tree_counts():
     # tiles per generation inside one even-q copy follow the splitting
     # counts: the geometric and the combinatorial pictures agree
     pair = validate(5, 4)
-    s = sector(pair, Scheme.EVEN_Q, Region.S0, 0)
+    s = Membership(sector(pair, Scheme.EVEN_Q, Region.S0, 0))
     per_gen = Counter()
     for tile in tessellate(pair, 4).tiles:
-        if assign_region(tile, s):
+        if s.owns(tile):
             per_gen[tile.generation] += 1
     assert [per_gen[g] for g in range(5)] == [1, 3, 8, 21, 55]
 
@@ -200,12 +219,12 @@ def test_fan_at_the_head_vertex(p, q):
     pair = validate(p, q)
     head = base_tile(pair)
     w = head.vertices[-1]
-    s0 = sector(pair, Scheme.ODD_V1, Region.S0, 0)
+    s0 = Membership(sector(pair, Scheme.ODD_V1, Region.S0, 0))
     members = []
     for tile in tessellate(pair, 2).tiles:
         if min(abs(v - w) for v in tile.vertices) > 1e-9:
             continue
-        if assign_region(tile, s0):
+        if s0.owns(tile):
             outside = sum(not s0.contains(v) for v in tile.vertices)
             members.append((tile.id, outside))
     assert (0, 1) in members  # the head itself pivots there
@@ -216,13 +235,14 @@ def test_fan_at_the_head_vertex(p, q):
 
 def test_odd_v1_prime_wedge_nests_inside_s0():
     pair = validate(5, 7)
-    s0 = sector(pair, Scheme.ODD_V1, Region.S0, 0)
-    sp = sector(pair, Scheme.ODD_V1, Region.S0_PRIME, 0)
+    s0 = Membership(sector(pair, Scheme.ODD_V1, Region.S0, 0))
+    sp_sector = sector(pair, Scheme.ODD_V1, Region.S0_PRIME, 0)
+    sp = Membership(sp_sector)
     checked = 0
     for i in range(720):
         ang = 2 * math.pi * (i + 0.5) / 720
         for r in (0.3, 0.9, 1.8, 3.0):
-            z = point_at(sp.vertex, complex(math.cos(ang), math.sin(ang)), r)
+            z = point_at(sp_sector.vertex, complex(math.cos(ang), math.sin(ang)), r)
             if sp.contains(z, tol=-1e-6):
                 assert s0.contains(z), z
                 checked += 1
