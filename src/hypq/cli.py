@@ -37,6 +37,7 @@ from .report import report_json, report_text, reports_json
 from .schlafli import (
     SchlafliPair,
     Scheme,
+    auto_schemes,
     build_system,
     characteristic_polynomial,
     splitting_matrix,
@@ -73,24 +74,18 @@ def _single_scheme(pair: SchlafliPair, tag: str | None) -> Scheme:
     """Resolve the scheme for subcommands that need exactly one."""
     if tag:
         return Scheme(tag)
-    if pair.q % 2 == 0:
-        return Scheme.EVEN_Q
+    schemes = auto_schemes(pair)
+    if len(schemes) == 1:
+        return schemes[0]
     raise HypqError(
         f"{pair}: odd q has two splitting variants, pick one with "
-        f"--scheme odd-v1 or --scheme odd-v2"
+        + " or ".join(f"--scheme {s.tag}" for s in schemes)
     )
 
 
 def cmd_analyze(args) -> int:
     pair = validate(args.p, args.q)
-    if args.scheme == "auto":
-        schemes = (
-            [Scheme.EVEN_Q]
-            if pair.q % 2 == 0
-            else [Scheme.ODD_V1, Scheme.ODD_V2]
-        )
-    else:
-        schemes = [Scheme(args.scheme)]
+    schemes = auto_schemes(pair) if args.scheme == "auto" else [Scheme(args.scheme)]
     reports = [analyze(pair, s) for s in schemes]
     if args.json:
         out = (
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scope",
         nargs="?",
         default="all",
-        choices=["all", "core", "geometry", "numeration", "dual"],
+        choices=list(verify_mod.SCOPES),
     )
     sub.set_defaults(fn=cmd_verify)
     return parser

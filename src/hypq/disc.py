@@ -161,13 +161,23 @@ def angle_at(v: complex, a: complex, b: complex) -> float:
 
 
 def hyp_midpoint(u: complex, v: complex) -> complex:
-    """The hyperbolic midpoint of the segment uv."""
+    """The hyperbolic midpoint of the segment uv.
+
+    Raises PrecisionExhausted when v, seen from u, rounds onto the unit
+    circle.
+    """
     back = translate_to(u)
     w = back.inverse()(v)
     if w == 0:
         return u
-    half = math.tanh(math.atanh(abs(w)) / 2.0)
-    return back(half * w / abs(w))
+    r = abs(w)
+    if r >= 1.0:
+        raise PrecisionExhausted(
+            "the segment's far end rounds onto the unit circle; "
+            "double precision ran out near the boundary"
+        )
+    half = math.tanh(math.atanh(r) / 2.0)
+    return back(half * w / r)
 
 
 # ---------------------------------------------------------------------------

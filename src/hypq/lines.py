@@ -25,7 +25,7 @@ from .disc import (
     point_at,
     tile_metrics,
 )
-from .errors import UnsupportedCase
+from .errors import PrecisionExhausted, UnsupportedCase
 from .schlafli import SchlafliPair
 
 Edge = tuple[complex, complex]
@@ -50,36 +50,37 @@ class MidpointLine:
         return [abs(self.supporting.signed_distance(m)) for m in self.midpoints]
 
 
-def _walk(pair: SchlafliPair, start_edge: Edge | None, steps: int) -> ZigzagPath:
-    if pair.q % 2 == 0:
-        raise UnsupportedCase(f"{pair}: these walks are defined for odd q")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if start_edge is None:
-        tile = base_tile(pair)
-        start_edge = tile.edge(0)
-    theta = pair.h * 2.0 * math.pi / pair.q
-    length = 2.0 * tile_metrics(pair).half_edge
-    edges = [start_edge]
-    sense = 1.0
-    for _ in range(steps):
-        tail, head = edges[-1]
-        back = direction_toward(head, tail)
-        out = back * cmath.exp(1j * sense * theta)
-        edges.append((head, point_at(head, out, length)))
-        sense = -sense
-    return ZigzagPath(tuple(edges), theta)
-
-
 def zigzag_line(
     pair: SchlafliPair, start_edge: Edge | None = None, steps: int = 0
 ) -> ZigzagPath:
     """The edge walk with alternating turns of h*2pi/q.
 
     The first turn is counter-clockwise; starting clockwise yields the
-    mirror image of the same line.
+    mirror image of the same line.  An edge end that rounds onto the
+    unit circle, or onto the edge's start, raises PrecisionExhausted.
     """
-    return _walk(pair, start_edge, steps)
+    if pair.q % 2 == 0:
+        raise UnsupportedCase(f"{pair}: these walks are defined for odd q")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if start_edge is None:
+        start_edge = base_tile(pair).edge(0)
+    theta = pair.h * 2.0 * math.pi / pair.q
+    length = 2.0 * tile_metrics(pair).half_edge
+    edges = [start_edge]
+    sense = 1.0
+    for step in range(1, steps + 1):
+        tail, head = edges[-1]
+        back = direction_toward(head, tail)
+        end = point_at(head, back * cmath.exp(1j * sense * theta), length)
+        if abs(end) >= 1.0 or end == head:
+            raise PrecisionExhausted(
+                f"{pair} zig-zag walk: step {step} left the open disc or "
+                "stayed put; double precision ran out near the boundary"
+            )
+        edges.append((head, end))
+        sense = -sense
+    return ZigzagPath(tuple(edges), theta)
 
 
 def h_midpoint_line(
@@ -93,6 +94,10 @@ def h_midpoint_line(
     """
     if steps < 1:
         raise ValueError("need at least one step to define the supporting line")
-    path = _walk(pair, start_edge, steps)
-    mids = tuple(hyp_midpoint(*e) for e in path.edges)
-    return MidpointLine(mids, geodesic_through(mids[0], mids[-1]))
+    mids = []
+    for step, edge in enumerate(zigzag_line(pair, start_edge, steps).edges):
+        try:
+            mids.append(hyp_midpoint(*edge))
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"{pair} mid-point line: step {step}: {exc}") from exc
+    return MidpointLine(tuple(mids), geodesic_through(mids[0], mids[-1]))

@@ -35,7 +35,7 @@ from xml.sax.saxutils import escape
 from .disc import Tile, _arc, base_tile
 from .errors import PrecisionExhausted
 from .lines import h_midpoint_line, zigzag_line
-from .schlafli import Region, SchlafliPair, Scheme
+from .schlafli import SchlafliPair, Scheme
 from .sectors import SectorBoundary, cover
 from .tiling import tessellate
 
@@ -244,9 +244,8 @@ def sector_scene(
     sectors; the second odd scheme shows its 2q-sector cover.  Each
     apex is marked and numbered by copy index.
     """
-    kind = Region.S0_PRIME if scheme is Scheme.ODD_V2 else Region.S0
     scene = tessellation_scene(pair, generations)
-    boundaries = cover(pair, scheme, kind)
+    boundaries = cover(pair, scheme, scheme.head)
     scene["sectors"] = [_sector_entry(sb) for sb in boundaries]
     scene["labels"] = [
         {"at": sb.witness, "text": str(sb.copy_index)}

@@ -54,6 +54,16 @@ class Scheme(Enum):
     def tag(self) -> str:
         return self.value
 
+    @property
+    def head(self) -> Region:
+        """The region that heads the rules and seeds the tree."""
+        return Region.S0_PRIME if self is Scheme.ODD_V2 else Region.S0
+
+    @property
+    def scale(self) -> int:
+        """2 for the doubled two-region odd scheme, 1 otherwise."""
+        return 2 if self is Scheme.ODD_V2 else 1
+
 
 @dataclass(frozen=True)
 class SchlafliPair:
@@ -142,7 +152,6 @@ def _fan_blocks(p: int, h: int, scale: int) -> tuple[tuple[tuple[str, int], ...]
 
 
 def _check_rules(system: SplittingSystem) -> None:
-    fan_kind = Region.S0_PRIME if system.scheme is Scheme.ODD_V2 else Region.S0
     for rule in system.rules:
         mults = [m for _, m in rule.children]
         if any(m < 0 for m in mults):
@@ -153,7 +162,7 @@ def _check_rules(system: SplittingSystem) -> None:
         if s1 != [1]:
             raise AssertionError("every rule must produce exactly one trailing region")
         fan_total = sum(size for _, size in rule.fans)
-        if fan_total != rule.multiplicity(fan_kind):
+        if fan_total != rule.multiplicity(system.seed):
             raise AssertionError("fan sizes must add up to the fanned multiplicity")
 
 
@@ -166,6 +175,14 @@ def check_scheme(pair: SchlafliPair, scheme: Scheme) -> None:
         raise SchemeParityMismatch(f"{pair}: scheme {scheme.tag} needs odd q")
     if scheme is not Scheme.EVEN_Q and pair.h < 2:
         raise UnsupportedCase(f"{pair}: odd schemes need q >= 5")
+
+
+def auto_schemes(pair: SchlafliPair) -> tuple[Scheme, ...]:
+    """The schemes a pair gets by default: even-q for even q, both odd
+    variants for odd q."""
+    if pair.q % 2 == 0:
+        return (Scheme.EVEN_Q,)
+    return (Scheme.ODD_V1, Scheme.ODD_V2)
 
 
 def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
@@ -184,38 +201,17 @@ def build_system(pair: SchlafliPair, scheme: Scheme) -> SplittingSystem:
     p, h = pair.p, pair.h
     f = (p - 3) * (h - 1)
     g = (p - 2) * (h - 1) - 2
-
-    if scheme in (Scheme.EVEN_Q, Scheme.ODD_LEGACY):
-        head_fans, tail_fans = _fan_blocks(p, h, 1)
-        rules = (
-            SplittingRule(Region.S0, ((Region.S0, f), (Region.S1, 1)), head_fans),
-            SplittingRule(Region.S1, ((Region.S0, g), (Region.S1, 1)), tail_fans),
-        )
-        system = SplittingSystem(pair, scheme, rules, Region.S0)
-    elif scheme is Scheme.ODD_V1:
-        head_fans, tail_fans = _fan_blocks(p, h, 1)
-        rules = (
-            SplittingRule(
-                Region.S0,
-                ((Region.S0, f), (Region.S0_PRIME, 1), (Region.S1, 1)),
-                head_fans,
-            ),
-            SplittingRule(Region.S0_PRIME, ((Region.S0, f), (Region.S1, 1)), head_fans),
-            SplittingRule(Region.S1, ((Region.S0, g), (Region.S1, 1)), tail_fans),
-        )
-        system = SplittingSystem(pair, scheme, rules, Region.S0)
-    elif scheme is Scheme.ODD_V2:
-        head_fans, tail_fans = _fan_blocks(p, h, 2)
-        rules = (
-            SplittingRule(
-                Region.S0_PRIME, ((Region.S0_PRIME, 2 * f), (Region.S1, 1)), head_fans
-            ),
-            SplittingRule(Region.S1, ((Region.S0_PRIME, 2 * g), (Region.S1, 1)), tail_fans),
-        )
-        system = SplittingSystem(pair, scheme, rules, Region.S0_PRIME)
-    else:  # pragma: no cover - exhaustive enum
-        raise AssertionError(scheme)
-
+    head, scale = scheme.head, scheme.scale
+    head_fans, tail_fans = _fan_blocks(p, h, scale)
+    tail = (Region.S1, 1)
+    # the three-region scheme sheds one S0' between the head's copies and
+    # its trailing region; S0' splits like S0 without it
+    shed = ((Region.S0_PRIME, 1),) if scheme is Scheme.ODD_V1 else ()
+    rules = [SplittingRule(head, ((head, scale * f), *shed, tail), head_fans)]
+    if shed:
+        rules.append(SplittingRule(Region.S0_PRIME, ((Region.S0, f), tail), head_fans))
+    rules.append(SplittingRule(Region.S1, ((head, scale * g), tail), tail_fans))
+    system = SplittingSystem(pair, scheme, tuple(rules), head)
     _check_rules(system)
     return system
 

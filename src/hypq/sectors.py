@@ -91,11 +91,9 @@ class SectorBoundary:
     copy_index: int
 
 
-def cover_size(pair: SchlafliPair, scheme: Scheme, kind: Region) -> int:
+def cover_size(pair: SchlafliPair, scheme: Scheme) -> int:
     """How many rotated copies close up around the vertex."""
-    if scheme is Scheme.ODD_V2 and kind is Region.S0_PRIME:
-        return 2 * pair.q
-    return pair.q
+    return scheme.scale * pair.q
 
 
 def _check_scheme(pair: SchlafliPair, scheme: Scheme, kind: Region) -> None:
@@ -181,7 +179,7 @@ def sector(
     in-between copies apexed at the edge mid-points C_k.
     """
     _check_scheme(pair, scheme, kind)
-    n = cover_size(pair, scheme, kind)
+    n = cover_size(pair, scheme)
     if not 0 <= copy_index < n:
         raise ValueError(f"copy_index must be in 0..{n - 1}")
     return _copy(_frame(pair), scheme, kind, copy_index)
@@ -191,7 +189,7 @@ def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBounda
     """All copies of the sector that together tile around the vertex."""
     _check_scheme(pair, scheme, kind)
     f = _frame(pair)
-    return [_copy(f, scheme, kind, k) for k in range(cover_size(pair, scheme, kind))]
+    return [_copy(f, scheme, kind, k) for k in range(cover_size(pair, scheme))]
 
 
 def _copy(

@@ -26,6 +26,7 @@ from .report import report_json
 from .schlafli import (
     Region,
     Scheme,
+    auto_schemes,
     build_system,
     characteristic_polynomial,
     splitting_matrix,
@@ -128,11 +129,10 @@ def check_spot_values() -> str:
 
 
 def _desk_cases():
-    for p, q in EVEN_PAIRS:
-        yield validate(p, q), Scheme.EVEN_Q
-    for p, q in ODD_PAIRS:
-        yield validate(p, q), Scheme.ODD_V1
-        yield validate(p, q), Scheme.ODD_V2
+    for p, q in EVEN_PAIRS + ODD_PAIRS:
+        pair = validate(p, q)
+        for scheme in auto_schemes(pair):
+            yield pair, scheme
 
 
 @_check("regularity verdict table")
@@ -345,17 +345,16 @@ SCOPES: dict[str, list] = {
         check_tree_recurrence,
         check_fibonacci_counts,
     ],
-    "numeration": [check_numeration],
     "geometry": [check_geometry, check_sector_covers],
+    "numeration": [check_numeration],
     "dual": [check_dual],
 }
-SCOPES["all"] = (
-    SCOPES["core"]
-    + SCOPES["geometry"]
-    + SCOPES["numeration"]
-    + SCOPES["dual"]
-    + [check_determinism]
-)
+#: "all" runs every scope in order, then the determinism check; it is
+#: listed first, as the default.
+SCOPES = {
+    "all": [fn for checks in SCOPES.values() for fn in checks] + [check_determinism],
+    **SCOPES,
+}
 
 
 def run(scope: str = "all") -> list[CheckResult]:

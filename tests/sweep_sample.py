@@ -6,23 +6,16 @@ the sweep ({900,4}, {4,900}, {4,899} under both odd variants) and the
 square {60,60}.
 """
 
-from hypq.schlafli import Scheme, validate
+from hypq.schlafli import Scheme, auto_schemes, validate
 
 MAX_PQ = 3600
-
-
-def _auto_schemes(q):
-    if q % 2 == 0:
-        return (Scheme.EVEN_Q,)
-    return (Scheme.ODD_V1, Scheme.ODD_V2)
-
 
 _SWEEP = sorted(
     (p, q, scheme.value)
     for p in range(4, MAX_PQ // 4 + 1)
     for q in range(4, MAX_PQ // p + 1)
     if p * q > 2 * (p + q)
-    for scheme in _auto_schemes(q)
+    for scheme in auto_schemes(validate(p, q))
 )
 
 SWEEP_SAMPLE = [

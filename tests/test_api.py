@@ -106,3 +106,38 @@ def test_sectors_carry_no_membership():
     assert fields == [
         "pair", "scheme", "kind", "vertex", "rays", "witness", "copy_index"
     ]
+
+
+def _scheme_fact_sites():
+    """(module, line) of each place outside schlafli.py that works out a
+    scheme fact itself: a head region picked as ``Region.S0_PRIME if ...
+    else Region.S0``, or a parity test ``% 2`` (lines.py keeps the one
+    that refuses even q for its walks)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "schlafli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.IfExp):
+                picks = [
+                    branch.attr
+                    for branch in (node.body, node.orelse)
+                    if isinstance(branch, ast.Attribute)
+                ]
+                if picks == ["S0_PRIME", "S0"]:
+                    found.append((path.stem, node.lineno))
+            elif (
+                path.stem != "lines"
+                and isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 2
+            ):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_each_scheme_fact_has_one_home():
+    # the head region, the doubling and the auto choice live on Scheme
+    # and schlafli.auto_schemes
+    assert _scheme_fact_sites() == []

@@ -108,6 +108,9 @@ def test_hyp_midpoint():
     m = hyp_midpoint(v, w)
     assert abs(hyp_distance(v, m) - hyp_distance(m, w)) < 1e-9
     assert abs(hyp_distance(v, m) - hyp_distance(v, w) / 2) < 1e-9
+    # a far end that rounds onto the unit circle has no midpoint
+    with pytest.raises(PrecisionExhausted, match="double precision ran out"):
+        hyp_midpoint(0.5, 1.0)
 
 
 def test_angle_at_right_angle():

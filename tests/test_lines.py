@@ -6,7 +6,7 @@ import pytest
 
 import geometry_oracle
 from hypq.disc import angle_at, hyp_distance, hyp_midpoint, tile_metrics
-from hypq.errors import UnsupportedCase
+from hypq.errors import PrecisionExhausted, UnsupportedCase
 from hypq.lines import h_midpoint_line, zigzag_line
 from hypq.schlafli import validate
 from hypq.tiling import tessellate
@@ -86,3 +86,27 @@ def test_custom_start_edge():
     line = h_midpoint_line(pair, start_edge=start, steps=5)
     assert max(line.residuals()) < 1e-9
     assert abs(line.midpoints[0] - hyp_midpoint(*start)) < 1e-12
+
+
+def test_walks_refuse_points_off_the_open_disc():
+    # the walk stops at the first edge end that rounds onto the unit
+    # circle; the mid-point line names the step whose mid-point cannot
+    # be taken
+    with pytest.raises(PrecisionExhausted, match=r"\{5,117\} zig-zag walk: step 4 "):
+        h_midpoint_line(validate(5, 117), steps=4)
+    with pytest.raises(PrecisionExhausted, match=r"\{14,15\} zig-zag walk: step 8 "):
+        zigzag_line(validate(14, 15), steps=8)
+    with pytest.raises(PrecisionExhausted, match=r"\{63,189\} mid-point line: step 6: "):
+        h_midpoint_line(validate(63, 189), steps=8)
+
+
+def test_desk_walks_stay_inside_the_disc():
+    # the guard leaves every desk walk alone: the farthest edge end
+    # ({10,13}, 8 steps) is 3e-16 short of the unit circle
+    worst = 0.0
+    for p in range(4, 13):
+        for q in (5, 7, 9, 11, 13):
+            pair = validate(p, q)
+            worst = max(worst, *(abs(b) for _, b in zigzag_line(pair, steps=8).edges))
+            h_midpoint_line(pair, steps=4)
+    assert 1.0 - 1e-15 < worst < 1.0

@@ -308,6 +308,16 @@ def test_cli_numeration_reports_gaps(capsys):
     assert main(["numeration", "-p", "5", "-q", "4", "--up-to", "-1"]) == 2
 
 
+def test_cli_verify_scopes_come_from_verify(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "nope"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "invalid choice: 'nope' (choose from "
+        "'all', 'core', 'geometry', 'numeration', 'dual')\n"
+    )
+
+
 def test_cli_render_writes_svg(tmp_path, capsys):
     out = tmp_path / "tess.svg"
     args = ["render", "-p", "5", "-q", "4", "--what", "tessellation",
@@ -325,6 +335,26 @@ def test_cli_render_exits_3_when_precision_runs_out(tmp_path, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: {8,8}: generation 5 after ")
+    assert "double precision ran out" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "what, p, q, step",
+    [("midlines", 68, 69, 4), ("zigzag", 14, 15, 8), ("zigzag", 16, 25, 7)],
+)
+def test_cli_render_walks_exit_3_when_precision_runs_out(
+    tmp_path, capsys, what, p, q, step
+):
+    # {68,69}: a walk end rounds onto the unit circle before its
+    # mid-point can be taken; {14,15}: the 8th edge ends at |z| = 1.0;
+    # {16,25}: the 7th edge ends where it began
+    out = tmp_path / "walk.svg"
+    args = ["render", "--what", what, "-p", str(p), "-q", str(q),
+            "--depth", "0", "-o", str(out)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {{{p},{q}}} zig-zag walk: step {step} ")
     assert "double precision ran out" in err
     assert not out.exists()
 

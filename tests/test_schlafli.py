@@ -1,5 +1,7 @@
 """Pair validation, splitting rules, matrices and characteristic polynomials."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,12 +19,20 @@ from hypq.schlafli import (
     Region,
     Scheme,
     _fan_blocks,
+    auto_schemes,
     build_system,
     characteristic_polynomial,
     splitting_matrix,
     validate,
 )
+from hypq.verify import ODD_PAIRS
 from sweep_sample import SWEEP_SAMPLE
+
+#: SHA-256 over repr(build_system(pair, scheme)) of each case in order,
+#: recorded when every scheme still wrote its own rules: the sweep sample,
+#: and every desk pair (p 4..12, odd q 5..13) under odd-legacy.
+SAMPLE_RULES_SHA256 = "682bce071585711efd23f66d6c58dd2098301b27f6ce5e840e3a568a2a2dba97"
+LEGACY_DESK_RULES_SHA256 = "ef4303dc96fb1c2ce2f8b79bc88df5a1325223a01016d6ef51e07060578f86fc"
 
 
 def test_validate_accepts_hyperbolic_pairs():
@@ -61,6 +71,17 @@ def test_scheme_tags_round_trip():
         assert Scheme(scheme.tag) is scheme
     with pytest.raises(ValueError):
         Scheme("nonsense")
+
+
+def test_scheme_facts():
+    assert [s.head for s in Scheme] == [
+        Region.S0, Region.S0, Region.S0, Region.S0_PRIME,
+    ]
+    assert [s.scale for s in Scheme] == [1, 1, 1, 2]
+    assert auto_schemes(validate(5, 4)) == (Scheme.EVEN_Q,)
+    assert auto_schemes(validate(5, 7)) == (Scheme.ODD_V1, Scheme.ODD_V2)
+    for pair, scheme in SWEEP_SAMPLE:
+        assert build_system(pair, scheme).seed is scheme.head
 
 
 def test_parity_guards():
@@ -205,3 +226,20 @@ def test_rules_equal_the_per_label_oracle_on_the_sweep_sample(monkeypatch):
     monkeypatch.setattr(schlafli, "_fan_blocks", _fan_blocks_per_label)
     expected = [build_system(pair, scheme).rules for pair, scheme in SWEEP_SAMPLE]
     assert built == expected
+
+
+def _rules_digest(cases):
+    digest = hashlib.sha256()
+    for pair, scheme in cases:
+        digest.update(repr(build_system(pair, scheme)).encode())
+    return digest.hexdigest()
+
+
+def test_rules_are_pinned_on_the_sweep_sample():
+    assert _rules_digest(SWEEP_SAMPLE) == SAMPLE_RULES_SHA256
+
+
+def test_legacy_rules_are_pinned_on_the_desk():
+    cases = [(validate(p, q), Scheme.ODD_LEGACY) for p, q in ODD_PAIRS]
+    assert len(cases) == 45
+    assert _rules_digest(cases) == LEGACY_DESK_RULES_SHA256

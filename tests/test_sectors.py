@@ -39,9 +39,9 @@ def test_scheme_guards():
 
 
 def test_cover_sizes():
-    assert cover_size(validate(5, 4), Scheme.EVEN_Q, Region.S0) == 4
-    assert cover_size(validate(5, 7), Scheme.ODD_V1, Region.S0) == 7
-    assert cover_size(validate(5, 7), Scheme.ODD_V2, Region.S0_PRIME) == 14
+    assert cover_size(validate(5, 4), Scheme.EVEN_Q) == 4
+    assert cover_size(validate(5, 7), Scheme.ODD_V1) == 7
+    assert cover_size(validate(5, 7), Scheme.ODD_V2) == 14
     assert len(cover(validate(4, 5), Scheme.ODD_V2, Region.S0_PRIME)) == 10
 
 

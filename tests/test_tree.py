@@ -33,7 +33,7 @@ from hypq.tree import (
     recurrence_coefficients,
     to_dot,
 )
-from hypq.verify import EVEN_PAIRS, ODD_PAIRS
+from hypq.verify import EVEN_PAIRS, ODD_PAIRS, _desk_cases
 from sweep_sample import SWEEP_SAMPLE
 from tree_oracle import ListPrefixNavigation, expand, per_node_levels, predicted_total
 
@@ -218,15 +218,12 @@ def test_equal_trees_stay_equal_after_navigation():
 def _small_desk_trees():
     """Every desk case at depths 0..4 whose tree holds at most 2000 nodes
     (460 trees; the full set at depth 4 is 297M nodes)."""
-    for p, q in EVEN_PAIRS + ODD_PAIRS:
-        pair = validate(p, q)
-        schemes = [Scheme.EVEN_Q] if q % 2 == 0 else [Scheme.ODD_V1, Scheme.ODD_V2]
-        for scheme in schemes:
-            system = build_system(pair, scheme)
-            for depth in range(5):
-                if predicted_total(system, depth) > 2000:
-                    break
-                yield generate(system, depth)
+    for pair, scheme in _desk_cases():
+        system = build_system(pair, scheme)
+        for depth in range(5):
+            if predicted_total(system, depth) > 2000:
+                break
+            yield generate(system, depth)
 
 
 # the walk trees of the benchmark's trees workload, at its 10^5 node cap
