@@ -6,18 +6,14 @@ other root lies strictly inside the unit circle.  Degenerate cases may
 first require stripping factors of X and factors of the form
 1 + X + ... + X^m; the verdict is then taken on the remaining core.
 
-Exactness matters here: the non-regular cases hinge on a root of
-modulus exactly 1, which floating point alone cannot certify.  Integer
-roots are therefore found by exact trial division.  What remains of a
-monic polynomial of degree <= 3 after that deflation has no rational
-root, so it is irreducible over Q, and such a remainder has a root of
-modulus exactly 1 in one case only: a complex pair of a quadratic with
-constant term 1.  (A real root of modulus 1 is rational; an irreducible
-cubic with a unimodular pair z, conj(z) and a real root r has
-|z|^2 * r = r equal to minus its constant term, so r is an integer.)
-The squared modulus of a quadratic remainder's complex pair is its
-integer constant term, so that case is resolved exactly.  Every other
-modulus is judged numerically, with a safety margin.
+The verdict is exact: the non-regular cases hinge on a root of modulus
+exactly 1, or within a hair of it, which floating point cannot tell
+apart.  Integer roots are found by exact trial division.  What remains
+of a monic polynomial of degree <= 3 after that deflation has no
+rational root, so it is irreducible over Q: its roots are simple, and
+none is real of modulus 1.  Where each of its roots lies against the
+unit circle is read from integer sign tests on its coefficients (see
+_place_counts).  Floats serve only the displayed roots and beta.
 """
 
 from __future__ import annotations
@@ -40,14 +36,9 @@ from .schlafli import (
 #: Nominal accuracy of the numeric roots after polishing.
 ROOT_PRECISION = 1e-12
 
-#: Numeric moduli within this distance of 1 are not trusted; they are
-#: resolved exactly or declared indeterminate.
-UNIT_MARGIN = 1e-9
-
 REASON_PISOT = "PisotCore"
 REASON_UNIT_ROOT = "RootOnUnitCircle"
 REASON_NON_PISOT = "NonPisotCore"
-REASON_INDETERMINATE = "IndeterminateModulus"
 REASON_NO_DOMINANT = "NoDominantRoot"
 
 
@@ -67,15 +58,15 @@ class Root:
 class RootSet:
     """All roots of one polynomial, with the dominant real root singled out.
 
-    pair_modulus_sq is the exact squared modulus of a complex pair: set
-    when the remainder after integer deflation is a quadratic with
-    negative discriminant, whose constant term it is.
+    remainder is the polynomial left once its integer roots are deflated
+    exactly: (1,), or an irreducible monic quadratic or cubic.  The
+    verdict reads where its roots lie from its integer coefficients.
     """
 
     roots: tuple[Root, ...]
     beta: float | None
     precision: float
-    pair_modulus_sq: int | None = None
+    remainder: tuple[int, ...] = (1,)
 
 
 @dataclass(frozen=True)
@@ -90,16 +81,12 @@ class FactorDecomposition:
 
 @dataclass(frozen=True)
 class PisotCertificate:
-    """Outcome of the Pisot test with the evidence for the verdict.
-
-    others lists every non-dominant root together with its modulus;
-    moduli resolved exactly are rounded to that exact value.
-    """
+    """Outcome of the Pisot test: the exact verdict, its reason, and the
+    dominant root beta as a float for display."""
 
     pisot: bool
     reason: str
     beta: float | None
-    others: tuple[tuple[complex, float], ...]
 
 
 def _cbrt(x: float) -> float:
@@ -188,10 +175,10 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     """All roots of a monic integer polynomial of degree 1..3.
 
     Integer roots are found by exact trial division over the divisors of
-    the constant term and flagged exact; the remainder is solved in
-    closed form and polished with two Newton steps on the original
-    polynomial.  A quadratic remainder with a complex pair also yields
-    the pair's exact squared modulus.
+    the constant term and flagged exact.  The remainder is kept exactly,
+    and its roots are solved in closed form and polished with two Newton
+    steps on the original polynomial; those floats are for display and
+    for beta, never for the verdict.
     """
     poly = polyint.normalize(poly)
     n = polyint.degree(poly)
@@ -206,11 +193,8 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     if m == 1:
         raise AssertionError("a monic linear factor always has an integer root")
     numeric: list[complex] = []
-    pair_modulus_sq = None
     if m == 2:
         numeric = _quadratic_roots(rest[1], rest[2])
-        if rest[1] * rest[1] - 4 * rest[2] < 0:
-            pair_modulus_sq = rest[2]
     elif m == 3:
         numeric = _cubic_roots(rest[1], rest[2], rest[3])
     for z in numeric:
@@ -222,7 +206,7 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     roots.sort(key=lambda r: (-r.value.real, abs(r.value.imag)))
     reals = [r for r in roots if r.is_real]
     beta = max((r.value.real for r in reals), default=None)
-    return RootSet(tuple(roots), beta, ROOT_PRECISION, pair_modulus_sq)
+    return RootSet(tuple(roots), beta, ROOT_PRECISION, rest)
 
 
 #: The admissible degenerate factors 1 + X + ... + X^m for m = 1, 2.
@@ -257,68 +241,75 @@ def is_pisot(poly: tuple[int, ...]) -> PisotCertificate:
     """Decide whether the dominant root is a Pisot number.
 
     True iff the greatest real root beta exceeds 1 and every other root
-    has modulus strictly below 1.  Verdicts near the unit circle are
-    taken on exact grounds whenever the root (or the squared modulus of
-    a conjugate pair) is an integer; a numeric modulus within UNIT_MARGIN
-    of 1 that cannot be resolved exactly yields a negative verdict with
-    the indeterminate reason rather than a guess.
+    has modulus strictly below 1.  The verdict is exact: it counts the
+    roots above 1, outside the unit circle and on it with integer
+    arithmetic only.  beta is the float root, for display.
     """
     poly = polyint.normalize(poly)
     if polyint.degree(poly) < 1:
-        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
+        return PisotCertificate(False, REASON_NO_DOMINANT, None)
     return _verdict(find_roots(poly))
 
 
 def _verdict(rs: RootSet) -> PisotCertificate:
     """The Pisot test of is_pisot, read off roots already found."""
-    if rs.beta is None:
-        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
-
-    # roots run by falling real part, so the first real one is beta
-    idx = next(i for i, r in enumerate(rs.roots) if r.is_real)
-    beta_root = rs.roots[idx]
-    if beta_root.exact is not None:
-        if beta_root.exact <= 1:
-            return PisotCertificate(False, REASON_NO_DOMINANT, rs.beta, ())
-    elif rs.beta <= 1.0 + UNIT_MARGIN:
-        reason = REASON_INDETERMINATE if rs.beta > 1.0 - UNIT_MARGIN else REASON_NO_DOMINANT
-        return PisotCertificate(False, reason, rs.beta, ())
-
-    pair_mod_sq = rs.pair_modulus_sq
-    others: list[tuple[complex, float]] = []
-    on_circle = outside = indeterminate = False
-    for i, r in enumerate(rs.roots):
-        if i == idx:
-            continue
+    above, outside, on_circle = _place_counts(rs.remainder)
+    for r in rs.roots:
         if r.exact is not None:
-            m = float(abs(r.exact))
-            if abs(r.exact) == 1:
-                on_circle = True
-            elif abs(r.exact) > 1:
-                outside = True
-        elif r.value.imag != 0.0 and pair_mod_sq is not None:
-            m = math.sqrt(pair_mod_sq)
-            if pair_mod_sq == 1:
-                on_circle = True
-            elif pair_mod_sq > 1:
-                outside = True
-        else:
-            m = abs(r.value)
-            if m > 1.0 + UNIT_MARGIN:
-                outside = True
-            elif m >= 1.0 - UNIT_MARGIN:
-                indeterminate = True
-        others.append((r.value, m))
+            above += r.exact > 1
+            outside += abs(r.exact) > 1
+            on_circle += abs(r.exact) == 1
+    if not above:
+        return PisotCertificate(False, REASON_NO_DOMINANT, rs.beta)
+    if outside > 1:
+        return PisotCertificate(False, REASON_NON_PISOT, rs.beta)
+    if on_circle:
+        return PisotCertificate(False, REASON_UNIT_ROOT, rs.beta)
+    return PisotCertificate(True, REASON_PISOT, rs.beta)
 
-    if outside:
-        verdict = (False, REASON_NON_PISOT)
-    elif on_circle:
-        verdict = (False, REASON_UNIT_ROOT)
-    elif indeterminate:
-        verdict = (False, REASON_INDETERMINATE)
+
+def _place_counts(rem: tuple[int, ...]) -> tuple[int, int, int]:
+    """(real roots above 1, roots outside the unit circle, roots on it)
+    of a remainder of find_roots, by integer sign tests.
+
+    The remainder has no rational root, so none of the values tested
+    below is zero.
+    """
+    if len(rem) == 1:
+        return 0, 0, 0
+    c = rem[-1]
+    if len(rem) == 3:
+        b = rem[1]
+        if b * b - 4 * c < 0:
+            # a complex pair with |z|^2 = c
+            return 0, 2 * (c > 1), 2 * (c == 1)
     else:
-        verdict = (True, REASON_PISOT)
-    return PisotCertificate(verdict[0], verdict[1], rs.beta, tuple(others))
+        a, b = rem[1], rem[2]
+        if 18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c < 0:
+            # one real root r, below which the monic R is negative, and a
+            # pair with |z|^2 = -c/r: inside the circle iff |r| > |c|
+            # (|r| = |c| would make r rational)
+            r_above = polyint.eval_at(rem, 1) < 0
+            r_below = polyint.eval_at(rem, -1) > 0
+            pair_inside = (
+                polyint.eval_at(rem, abs(c)) < 0 or polyint.eval_at(rem, -abs(c)) > 0
+            )
+            return int(r_above), r_above + r_below + 2 * (not pair_inside), 0
+    # every root is real, so Descartes' rule of signs counts them exactly
+    above = _roots_above(rem, 1)
+    return above, above + len(rem) - 1 - _roots_above(rem, -1), 0
+
+
+def _roots_above(poly: tuple[int, ...], s: int) -> int:
+    """The number of roots above s of a polynomial whose roots are all
+    real and none at s: the sign changes of P(X + s), whose coefficients
+    come from repeated synthetic division."""
+    shifted = list(poly)
+    for end in range(len(shifted) - 1, 0, -1):
+        for j in range(1, end + 1):
+            shifted[j] += s * shifted[j - 1]
+    signs = [c > 0 for c in shifted if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _floor_dominant(poly: tuple[int, ...], beta: float) -> int:
@@ -347,7 +338,6 @@ class SpectralReport:
     polynomial: tuple[int, ...]
     decomposition: FactorDecomposition
     roots: RootSet
-    certificate: PisotCertificate
     beta: float
     pisot: bool
     regular: bool
@@ -359,8 +349,8 @@ class SpectralReport:
 def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
     """Chain rules -> matrix -> polynomial -> stripping -> verdict.
 
-    The roots of the core are found once; the certificate, regular,
-    reason, the displayed roots and beta are all read from them.
+    The roots of the core are found once; the verdict (regular and
+    reason), the displayed roots and beta are all read from them.
 
     pisot is the same test applied to the full polynomial, and it equals
     regular and not unit_factors.  Proof: the full polynomial's roots are
@@ -384,14 +374,14 @@ def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
         if polyint.degree(deco.core) >= 1
         else RootSet((), None, ROOT_PRECISION)
     )
-    cert = _verdict(roots)
-    beta = roots.beta
-    if beta is None or beta <= 1.0:
+    verdict = _verdict(roots)
+    if verdict.reason == REASON_NO_DOMINANT:
         # e.g. {4,5} under the legacy odd scheme: (X-1)^2, no growth,
         # the splitting never gets off the ground
         raise UnsupportedCase(
             f"{pair} under {scheme.tag}: no dominant root above 1"
         )
+    beta = roots.beta
 
     warnings = []
     for rule in system.rules:
@@ -409,11 +399,10 @@ def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
         polynomial=poly,
         decomposition=deco,
         roots=roots,
-        certificate=cert,
         beta=beta,
-        pisot=cert.pisot and not deco.unit_factors,
-        regular=cert.pisot,
-        reason=cert.reason,
+        pisot=verdict.pisot and not deco.unit_factors,
+        regular=verdict.pisot,
+        reason=verdict.reason,
         digit_bound=_floor_dominant(poly, beta),
         warnings=tuple(warnings),
     )

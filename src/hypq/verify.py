@@ -24,7 +24,6 @@ from .numeration import _survey, basis, decode, grow, represent_maximal
 from .render import midlines_scene, render_svg
 from .report import report_json
 from .schlafli import (
-    Region,
     Scheme,
     auto_schemes,
     build_system,
@@ -32,7 +31,7 @@ from .schlafli import (
     splitting_matrix,
     validate,
 )
-from .sectors import cover, cover_closure_residual
+from .sectors import cover, cover_closure_residual, cover_size
 from .spectral import analyze
 from .tiling import tessellate
 from .tree import generate, max_depth_within_cap, recurrence_check
@@ -151,14 +150,14 @@ def check_verdicts() -> str:
     assert polyint.divide_exact(r2.polynomial, (1, -1)) == (1, -2)
     assert not r2.regular and not r2.pisot
 
-    others = 0
+    regular = 0
     for pair, scheme in _desk_cases():
         if (pair.p, pair.q) == (4, 5):
             continue
         rep = analyze(pair, scheme)
         assert rep.regular, f"{pair} {scheme.tag}: expected regular"
-        others += 1
-    return f"{{4,5}} fails as required, {others} other cases regular"
+        regular += 1
+    return f"{{4,5}} fails as required, {regular} other cases regular"
 
 
 #: (pair, scheme) list for the explicit tree equivalence check.
@@ -288,15 +287,14 @@ def check_geometry() -> str:
 @_check("sector covers close up")
 def check_sector_covers() -> str:
     pair = validate(5, 7)
-    c1 = cover(pair, Scheme.ODD_V1, Region.S0)
-    assert len(c1) == pair.q
-    r1 = cover_closure_residual(c1)
-    assert r1 < TOL, f"first odd scheme residual {r1}"
-    c2 = cover(pair, Scheme.ODD_V2, Region.S0_PRIME)
-    assert len(c2) == 2 * pair.q
-    r2 = cover_closure_residual(c2)
-    assert r2 < TOL, f"second odd scheme residual {r2}"
-    return f"q and 2q copies close within {max(r1, r2):.2e}"
+    residuals = []
+    for scheme in auto_schemes(pair):
+        copies = cover(pair, scheme, scheme.head)
+        assert len(copies) == cover_size(pair, scheme)
+        residual = cover_closure_residual(copies)
+        assert residual < TOL, f"{scheme.tag} residual {residual}"
+        residuals.append(residual)
+    return f"q and 2q copies close within {max(residuals):.2e}"
 
 
 @_check("dual vertex numbering is a bijection")

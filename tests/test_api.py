@@ -57,20 +57,27 @@ def _heading_rules():
     return found
 
 
+def _names(path):
+    """Every name a module uses, defines, imports or passes as a keyword."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            names.add(node.arg)
+    return names
+
+
 def test_each_line_decision_has_one_home():
     # a line's signed distance goes through its own axis map, not a
     # helper that takes a map from outside ...
-    names = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.alias):
-                names.update((node.name, node.asname))
+    names = set().union(*map(_names, SRC.glob("*.py")))
     assert "_axis_distance" not in names
     # ... and which way a ray runs is decided in one place
     assert _heading_rules() == {("sectors", "ideal_endpoint")}
@@ -141,3 +148,41 @@ def test_each_scheme_fact_has_one_home():
     # the head region, the doubling and the auto choice live on Scheme
     # and schlafli.auto_schemes
     assert _scheme_fact_sites() == []
+
+
+def test_the_regularity_verdict_is_exact():
+    # the verdict is decided by integer sign tests: no float margin, no
+    # "indeterminate" outcome, and no second copy of the verdict
+    gone = {
+        "UNIT_MARGIN",
+        "REASON_INDETERMINATE",
+        "pair_modulus_sq",
+        "others",
+        "certificate",
+    }
+    for path in SRC.glob("*.py"):
+        assert sorted(_names(path) & gone) == [], path.stem
+        assert "IndeterminateModulus" not in path.read_text(encoding="utf-8")
+    # _verdict and the functions of spectral.py that it calls, transitively,
+    # hold no float constant
+    tree = ast.parse((SRC / "spectral.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["_verdict"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [
+                node.id
+                for node in ast.walk(functions[name])
+                if isinstance(node, ast.Name) and node.id in functions
+            ]
+    floats = [
+        (name, node.lineno)
+        for name in sorted(reached)
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert floats == []

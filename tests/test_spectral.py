@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -18,14 +19,11 @@ from hypq.schlafli import (
     validate,
 )
 from hypq.spectral import (
-    REASON_INDETERMINATE,
     REASON_NO_DOMINANT,
     REASON_NON_PISOT,
     REASON_PISOT,
     REASON_UNIT_ROOT,
     ROOT_PRECISION,
-    UNIT_MARGIN,
-    PisotCertificate,
     RootSet,
     SpectralReport,
     analyze,
@@ -34,6 +32,7 @@ from hypq.spectral import (
     strip_factors,
 )
 from hypq.verify import EVEN_PAIRS, ODD_PAIRS, _desk_cases
+from sweep_sample import SWEEP_SAMPLE
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -113,8 +112,8 @@ def test_is_pisot_golden_ratio():
     cert = is_pisot((1, -1, -1))
     assert cert.pisot and cert.reason == REASON_PISOT
     assert abs(cert.beta - PHI) < 1e-12
-    ((z, m),) = cert.others
-    assert abs(m - (PHI - 1)) < 1e-12
+    (conjugate,) = (r.value for r in find_roots((1, -1, -1)).roots if r.value.real < 0)
+    assert abs(abs(conjugate) - (PHI - 1)) < 1e-12
 
 
 def test_is_pisot_rejects_unit_and_outside_roots():
@@ -212,9 +211,13 @@ def test_digit_bound_is_exact_floor():
 
 
 # ----------------------------------------------------------------------
-# Oracle: the verdict as computed before one root search served the whole
-# analysis.  It finds the roots four times per case and deflates the
-# integer roots twice more to recover the exact modulus of a pair.
+# Oracle: the verdict as computed before it was exact.  It finds the roots
+# four times per case, deflates the integer roots twice more to recover
+# the exact modulus of a quadratic's pair, and judges every other modulus
+# as a float with a safety margin, so it can answer "indeterminate".
+
+UNIT_MARGIN = 1e-9
+REASON_INDETERMINATE = "IndeterminateModulus"
 
 
 def _oracle_pair_modulus_sq(poly):
@@ -225,12 +228,13 @@ def _oracle_pair_modulus_sq(poly):
 
 
 def _oracle_is_pisot(poly):
+    """(pisot, reason, beta), judged on float moduli."""
     poly = polyint.normalize(poly)
     if polyint.degree(poly) < 1:
-        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
+        return False, REASON_NO_DOMINANT, None
     rs = find_roots(poly)
     if rs.beta is None:
-        return PisotCertificate(False, REASON_NO_DOMINANT, None, ())
+        return False, REASON_NO_DOMINANT, None
 
     idx = max(
         (i for i, r in enumerate(rs.roots) if r.is_real),
@@ -239,29 +243,26 @@ def _oracle_is_pisot(poly):
     beta_root = rs.roots[idx]
     if beta_root.exact is not None:
         if beta_root.exact <= 1:
-            return PisotCertificate(False, REASON_NO_DOMINANT, rs.beta, ())
+            return False, REASON_NO_DOMINANT, rs.beta
     elif rs.beta <= 1.0 + UNIT_MARGIN:
         reason = (
             REASON_INDETERMINATE
             if rs.beta > 1.0 - UNIT_MARGIN
             else REASON_NO_DOMINANT
         )
-        return PisotCertificate(False, reason, rs.beta, ())
+        return False, reason, rs.beta
 
     pair_mod_sq = _oracle_pair_modulus_sq(poly)
-    others = []
     on_circle = outside = indeterminate = False
     for i, r in enumerate(rs.roots):
         if i == idx:
             continue
         if r.exact is not None:
-            m = float(abs(r.exact))
             if abs(r.exact) == 1:
                 on_circle = True
             elif abs(r.exact) > 1:
                 outside = True
         elif r.value.imag != 0.0 and pair_mod_sq is not None:
-            m = math.sqrt(pair_mod_sq)
             if pair_mod_sq == 1:
                 on_circle = True
             elif pair_mod_sq > 1:
@@ -272,17 +273,14 @@ def _oracle_is_pisot(poly):
                 outside = True
             elif m >= 1.0 - UNIT_MARGIN:
                 indeterminate = True
-        others.append((r.value, m))
 
     if outside:
-        verdict = (False, REASON_NON_PISOT)
-    elif on_circle:
-        verdict = (False, REASON_UNIT_ROOT)
-    elif indeterminate:
-        verdict = (False, REASON_INDETERMINATE)
-    else:
-        verdict = (True, REASON_PISOT)
-    return PisotCertificate(verdict[0], verdict[1], rs.beta, tuple(others))
+        return False, REASON_NON_PISOT, rs.beta
+    if on_circle:
+        return False, REASON_UNIT_ROOT, rs.beta
+    if indeterminate:
+        return False, REASON_INDETERMINATE, rs.beta
+    return True, REASON_PISOT, rs.beta
 
 
 def _oracle_analyze(pair, scheme):
@@ -290,13 +288,13 @@ def _oracle_analyze(pair, scheme):
     matrix = splitting_matrix(system)
     poly = characteristic_polynomial(matrix)
     deco = strip_factors(poly)
-    core_cert = _oracle_is_pisot(deco.core)
+    core_pisot, core_reason, _ = _oracle_is_pisot(deco.core)
     core_roots = (
         find_roots(deco.core)
         if polyint.degree(deco.core) >= 1
         else RootSet((), None, ROOT_PRECISION)
     )
-    full_cert = _oracle_is_pisot(poly)
+    full_pisot, _, _ = _oracle_is_pisot(poly)
 
     full_roots = find_roots(poly)
     if full_roots.beta is None or full_roots.beta <= 1.0:
@@ -321,11 +319,10 @@ def _oracle_analyze(pair, scheme):
         polynomial=poly,
         decomposition=deco,
         roots=core_roots,
-        certificate=core_cert,
         beta=beta,
-        pisot=full_cert.pisot,
-        regular=core_cert.pisot,
-        reason=core_cert.reason,
+        pisot=full_pisot,
+        regular=core_pisot,
+        reason=core_reason,
         digit_bound=spectral._floor_dominant(poly, beta),
         warnings=tuple(warnings),
     )
@@ -342,7 +339,10 @@ SMALL_MONIC = [
 def test_is_pisot_matches_the_oracle_on_small_monic_polynomials():
     assert len(SMALL_MONIC) == 16250
     for poly in SMALL_MONIC:
-        assert repr(is_pisot(poly)) == repr(_oracle_is_pisot(poly)), poly
+        want = _oracle_is_pisot(poly)
+        assert want[1] != REASON_INDETERMINATE, poly
+        cert = is_pisot(poly)
+        assert (cert.pisot, cert.reason, cert.beta) == want, poly
 
 
 def test_full_verdict_is_core_verdict_without_unit_factors():
@@ -367,34 +367,83 @@ def _outcome(fn, pair, scheme):
 
 
 def test_analyze_matches_the_oracle_on_every_desk_case_and_scheme():
+    desk = [
+        (validate(p, q), scheme)
+        for p, q in EVEN_PAIRS + ODD_PAIRS
+        for scheme in Scheme
+    ]
     compared = unsupported = 0
-    for p, q in EVEN_PAIRS + ODD_PAIRS:
-        pair = validate(p, q)
-        for scheme in Scheme:
-            want = _outcome(_oracle_analyze, pair, scheme)
-            if want[0] == "SchemeParityMismatch":
-                continue
-            assert _outcome(analyze, pair, scheme) == want, (pair, scheme)
-            compared += 1
-            unsupported += want[0] == "UnsupportedCase"
-    assert compared == 44 + 3 * 45
+    for pair, scheme in desk + SWEEP_SAMPLE:
+        want = _outcome(_oracle_analyze, pair, scheme)
+        if want[0] == "SchemeParityMismatch":
+            continue
+        assert want[-1] != REASON_INDETERMINATE, (pair, scheme)
+        assert _outcome(analyze, pair, scheme) == want, (pair, scheme)
+        compared += 1
+        unsupported += want[0] == "UnsupportedCase"
+    assert compared == 44 + 3 * 45 + len(SWEEP_SAMPLE)
+    assert len(SWEEP_SAMPLE) == 1007
     assert unsupported == 1  # {4,5} under the legacy odd scheme
 
 
 def test_analyze_finds_roots_once(monkeypatch):
     calls = []
+    deflations = []
     real = spectral.find_roots
+    real_deflate = spectral._integer_roots
 
     def counting(poly):
         calls.append(poly)
         return real(poly)
 
+    def counting_deflate(poly):
+        deflations.append(poly)
+        return real_deflate(poly)
+
     def forbidden(poly):
         raise AssertionError("analyze must not search the roots again")
 
     monkeypatch.setattr(spectral, "find_roots", counting)
+    monkeypatch.setattr(spectral, "_integer_roots", counting_deflate)
     monkeypatch.setattr(spectral, "is_pisot", forbidden)
     for pair, scheme in _desk_cases():
         calls.clear()
+        deflations.clear()
         r = analyze(pair, scheme)
         assert calls == [r.decomposition.core], (pair, scheme)
+        # the verdict reads RootSet.remainder and does not deflate again
+        assert deflations == [r.decomposition.core], (pair, scheme)
+
+
+def _decimal_pair_modulus_sq(poly, digits=60):
+    """Bounds on |z|^2 = -c/r for a monic cubic X^3 + aX^2 + bX + c with
+    one real root r, which bisection on P brackets to ``digits`` digits."""
+    _, a, b, c = poly
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        bound = Decimal(1 + max(abs(a), abs(b), abs(c)))  # Cauchy's bound
+        lo, hi = -bound, bound
+        while hi - lo > Decimal(10) ** -digits * bound:
+            mid = (lo + hi) / 2
+            if polyint.eval_at(poly, mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 1
+        return sorted((-c / lo, -c / hi))
+
+
+@pytest.mark.parametrize(
+    "poly", [(1, -30000, 0, -30000), (1, -30000, 2, -30000)]
+)
+def test_is_pisot_decides_pairs_a_float_margin_cannot(poly):
+    # one real root above 1 and a complex pair whose modulus lies within
+    # about 5.6e-10 of 1: inside the old float margin, where that verdict
+    # answered "indeterminate"
+    assert _oracle_is_pisot(poly)[1] == REASON_INDETERMINATE
+    low, high = _decimal_pair_modulus_sq(poly)
+    assert low < high and (high < 1 or low > 1)
+    assert abs(low - 1) < 2 * UNIT_MARGIN
+    want = REASON_PISOT if high < 1 else REASON_NON_PISOT
+    cert = is_pisot(poly)
+    assert (cert.pisot, cert.reason) == (high < 1, want)
