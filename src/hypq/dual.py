@@ -16,7 +16,10 @@ That tree is the splitting tree of {5,4} read right to left (Margenstern,
 each rule's sons are listed in reverse so that the black son comes
 first.  ``fibonacci_tree`` builds it with the one substitution engine
 of ``tree``, so it is a ``SpanningTree`` with the same ids, cap and
-errors as every other splitting tree.
+errors as every other splitting tree.  ``pentagrid_sector`` places it:
+a ``SectorTree`` is that tree plus one tile per node id, node i on
+``tiles[i - 1]``, laid down level by level from the tree's own levels.
+Its tile cap is checked on the matrix counts, before the tree is built.
 
 Sides of a tile are numbered 1..5 counter-clockwise starting at the
 side shared with the father.  Sons sit across sides 2,3,4 of a white
@@ -42,22 +45,15 @@ tiles and p - 3 at black ones; the tests check the placement for p = 5,
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .disc import (
-    GEOM_TOL,
-    Geodesic,
-    Tile,
-    base_tile,
-    geodesic_through,
-    reflect_tile,
-)
+from .disc import GEOM_TOL, Geodesic, Tile, base_tile, geodesic_through, reflect_tile
 from .errors import CapExceeded, PrecisionExhausted
 from .render import _tile_entry
-from .schlafli import Region, SchlafliPair, Scheme, build_system, validate
+from .schlafli import REGION_ORDER, Region, SchlafliPair, Scheme, build_system, validate
 from .tiling import DEFAULT_TILE_CAP, tessellate
 # level_counts is re-exported for counting a Fibonacci tree's levels
-from .tree import SpanningTree, TreeNode, generate, level_counts
+from .tree import SpanningTree, generate, level_counts, max_depth_within_cap
 
 
 def fibonacci_tree(depth: int, p: int = 5) -> SpanningTree:
@@ -79,25 +75,16 @@ def fibonacci_tree(depth: int, p: int = 5) -> SpanningTree:
 # Geometric attachment
 
 
-@dataclass(frozen=True)
-class SectorNode:
-    """A tree node attached to its tile, whose edge 0 faces the father."""
-
-    node: TreeNode
-    tile: Tile
-
-    @property
-    def vertex(self) -> complex:
-        return self.tile.vertices[1 if self.node.kind is Region.S0 else 2]
-
-
 @dataclass
 class SectorTree:
-    """The numbered sector: tree nodes bound to grid tiles.
+    """The numbered sector: its numbering tree and one tile per node.
 
+    Node i sits on ``tiles[i - 1]``, whose edge 0 faces the father.
     ``left`` is the delimiting line through the shared edge of the
     central cell and the head; ``right`` the head's side-p line through
     the apex.  Vertices on the right line are the excluded ones.
+    ``pentagrid_sector`` checks the tile cap on the matrix counts, before
+    it builds the tree.
     """
 
     pair: SchlafliPair
@@ -105,54 +92,57 @@ class SectorTree:
     apex: complex
     left: Geodesic
     right: Geodesic
-    nodes: dict[int, SectorNode] = field(default_factory=dict)
+    tree: SpanningTree
+    tiles: list[Tile]
 
-    def levels(self) -> list[list[int]]:
-        out: dict[int, list[int]] = defaultdict(list)
-        for nid in sorted(self.nodes):
-            out[self.nodes[nid].node.level].append(nid)
-        return [out[i] for i in range(len(out))]
+    def vertex(self, node_id: int) -> complex:
+        """The vertex a node marks: vertex 1 of a white tile, vertex 2 of
+        a black one."""
+        white = self.tree.node(node_id).kind is Region.S0
+        return self.tiles[node_id - 1].vertices[1 if white else 2]
 
 
 def pentagrid_sector(depth: int, p: int = 5) -> SectorTree:
     """Build the sector across edge 0 of the central cell of {p,4}.
 
     The head is the central cell mirrored in its edge 0 and each son is
-    its father mirrored in one side; a tile's id is its node's.  A tree
-    of more nodes than the tile cap is refused before any tile is placed.
+    its father mirrored in one side; a tile's id is its node's.  The
+    tiles are placed level by level, straight from the tree's levels.
+    A depth whose tree holds more than the tile cap is refused from the
+    matrix counts, before any node is built.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pair = validate(p, 4)
-    tree = fibonacci_tree(depth, p)
-    if tree.size > DEFAULT_TILE_CAP:
+    system = build_system(pair, Scheme.EVEN_Q)
+    # the tree mirrors these rules, which leaves their counts as they are
+    if max_depth_within_cap(system, DEFAULT_TILE_CAP) < depth:
         raise CapExceeded(
             f"{pair} sector: more than {DEFAULT_TILE_CAP} tiles at depth {depth}"
         )
+    tree = fibonacci_tree(depth, p)
+    # sons sit across sides 2.. of a white tile (edge 1 on) and 3.. of a
+    # black one (edge 2 on)
+    edges = {
+        REGION_ORDER.index(kind): range(first, first + system.rule(kind).child_total)
+        for kind, first in ((Region.S0, 1), (Region.S1, 2))
+    }
     central = base_tile(pair)
-    head = reflect_tile(central, 0, 1)
-    sector = SectorTree(
-        pair,
-        central,
-        head.vertices[0],
-        geodesic_through(*central.edge(0)),
-        head.edge_geodesic(p - 1),
-    )
-    placed = {1: head}
-    for node in tree.nodes():
-        tile = placed.pop(node.id)
-        sector.nodes[node.id] = SectorNode(node, tile)
-        # side 2 of a white tile is edge 1, side 3 of a black one edge 2
-        first = 1 if node.kind is Region.S0 else 2
-        for edge, child_id in enumerate(node.children, first):
-            try:
-                placed[child_id] = reflect_tile(tile, edge, child_id)
-            except PrecisionExhausted as exc:
-                raise PrecisionExhausted(
-                    f"{pair} sector: level {node.level + 1} after "
-                    f"{child_id - 1} tiles: {exc}"
-                ) from exc
-    return sector
+    tiles = [reflect_tile(central, 0, 1)]
+    for level, kinds in enumerate(tree.levels[:-1], 1):
+        # the fathers of this level are the last len(kinds) tiles placed
+        for father, kind in zip(tiles[-len(kinds) :], kinds):
+            for edge in edges[kind]:
+                try:
+                    tiles.append(reflect_tile(father, edge, len(tiles) + 1))
+                except PrecisionExhausted as exc:
+                    raise PrecisionExhausted(
+                        f"{pair} sector: level {level} after "
+                        f"{len(tiles)} tiles: {exc}"
+                    ) from exc
+    head = tiles[0]
+    left, right = geodesic_through(*central.edge(0)), head.edge_geodesic(p - 1)
+    return SectorTree(pair, central, head.vertices[0], left, right, tree, tiles)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +186,7 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
         raise ValueError("depth must be >= 0")
     tess = tessellate(validate(p, 4), depth + 2)
     sector = pentagrid_sector(depth, p)
-    head = sector.nodes[1].tile
+    head = sector.tiles[0]
     left, right = sector.left, sector.right
     s_left = 1.0 if left.signed_distance(head.center) > 0 else -1.0
     s_right = 1.0 if right.signed_distance(head.center) > 0 else -1.0
@@ -210,12 +200,12 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
     member_ids = {t.id for t in tess.tiles if member(t)}
     explored = set()
     assignments: dict[int, list[int]] = defaultdict(list)
-    for nid, sn in sector.nodes.items():
-        cell = tess.tile_at(sn.tile.center)
+    for nid, tile in enumerate(sector.tiles, 1):
+        cell = tess.tile_at(tile.center)
         if cell is None:
             raise AssertionError(f"node {nid}: its tile is no cell of the tessellation")
         explored.add(cell.id)
-        vid = tess.vertex_id(sn.vertex)
+        vid = tess.vertex_id(sector.vertex(nid))
         assert vid is not None
         assignments[vid].append(nid)
 
@@ -256,13 +246,12 @@ def dual_scene(depth: int = 3, p: int = 5) -> dict:
     sector = pentagrid_sector(depth, p)
     tiles = [_tile_entry(sector.central)]
     labels = []
-    for nid in sorted(sector.nodes):
-        sn = sector.nodes[nid]
-        entry = _tile_entry(sn.tile)
-        if sn.node.kind is Region.S1:
+    for nid, tile in enumerate(sector.tiles, 1):
+        entry = _tile_entry(tile)
+        if sector.tree.node(nid).kind is Region.S1:
             entry["fill"] = "#d9d9d9"
         tiles.append(entry)
-        labels.append({"at": sn.vertex, "text": str(nid)})
+        labels.append({"at": sector.vertex(nid), "text": str(nid)})
     geodesics = []
     for line in (sector.left, sector.right):
         e1, e2 = line.ideal_endpoints()

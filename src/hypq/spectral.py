@@ -127,8 +127,8 @@ def _integer_roots(poly: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     return found, poly
 
 
-def _quadratic_roots(b: int, c: int) -> list[complex]:
-    """Roots of X^2 + bX + c; called only when there is no integer root."""
+def _quadratic_roots(b: float, c: float) -> list[complex]:
+    """Roots of X^2 + bX + c, where c != 0."""
     disc = b * b - 4 * c
     if disc >= 0:
         s = math.sqrt(disc)
@@ -144,8 +144,6 @@ def _cubic_roots(a: int, b: int, c: int) -> list[complex]:
     shift = a / 3.0
     p = b - a * a / 3.0
     q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    if p == 0.0 and q == 0.0:
-        return [complex(-shift)] * 3
     if 4.0 * p**3 + 27.0 * q * q <= 0.0:
         # three real roots; p < 0 is forced in this branch
         m = 2.0 * math.sqrt(-p / 3.0)
@@ -155,10 +153,16 @@ def _cubic_roots(a: int, b: int, c: int) -> list[complex]:
         return [complex(t - shift) for t in ts]
     s = math.sqrt(q * q / 4.0 + p**3 / 27.0)
     t0 = _cbrt(-q / 2.0 + s) + _cbrt(-q / 2.0 - s)
+    r = t0 - shift
+    rad = 3.0 * t0 * t0 + 4.0 * p
+    if rad < 0.0:
+        # rounding lost the pair: solve for it from r by Vieta, its sum
+        # being -a - r and its product -c / r (c != 0, so r != 0)
+        return [complex(r)] + _quadratic_roots(a + r, -c / r)
     # the remaining factor is t^2 + t0*t + (t0^2 + p), complex pair
-    im = math.sqrt(3.0 * t0 * t0 + 4.0 * p) / 2.0
+    im = math.sqrt(rad) / 2.0
     re = -t0 / 2.0
-    return [complex(t0 - shift), complex(re - shift, im), complex(re - shift, -im)]
+    return [complex(r), complex(re - shift, im), complex(re - shift, -im)]
 
 
 def _polish(poly: tuple[int, ...], z: complex) -> complex:

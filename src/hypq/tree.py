@@ -150,15 +150,6 @@ class SpanningTree:
             table = self._prefix_cache[level] = array("q", array("q", sums))
         return table
 
-    def kind_of(self, node_id: int) -> Region:
-        return self.node(node_id).kind
-
-    def parent_of(self, node_id: int) -> int | None:
-        return self.node(node_id).parent
-
-    def children_of(self, node_id: int) -> tuple[int, ...]:
-        return self.node(node_id).children
-
     def node(self, node_id: int) -> TreeNode:
         """The node with this id, located once: one bisect over the level
         offsets places it, one over the level above's prefix sums finds

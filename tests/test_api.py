@@ -83,15 +83,30 @@ def test_each_line_decision_has_one_home():
     assert _heading_rules() == {("sectors", "ideal_endpoint")}
 
 
-def test_sectors_carry_no_membership():
-    # a sector copy is its rays and a witness; membership lives in the
-    # test oracle
-    tree = ast.parse((SRC / "sectors.py").read_text(encoding="utf-8"))
-    defined = {
+def _defined(tree):
+    """The names of every function and class a parsed module defines."""
+    return {
         node.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+
+
+def _class(tree, name):
+    """The top-level class of this name in a parsed module."""
+    (found,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    return found
+
+
+def test_sectors_carry_no_membership():
+    # a sector copy is its rays and a witness; membership lives in the
+    # test oracle
+    tree = ast.parse((SRC / "sectors.py").read_text(encoding="utf-8"))
+    defined = _defined(tree)
     gone = {
         "contains",
         "clearance",
@@ -102,17 +117,44 @@ def test_sectors_carry_no_membership():
         "RingReport",
     }
     assert defined & gone == set()
-    (boundary,) = (
-        node
-        for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "SectorBoundary"
-    )
+    boundary = _class(tree, "SectorBoundary")
     fields = [
         node.target.id for node in boundary.body if isinstance(node, ast.AnnAssign)
     ]
     assert fields == [
         "pair", "scheme", "kind", "vertex", "rays", "witness", "copy_index"
     ]
+
+
+def test_a_placed_sector_is_its_tree_and_tiles():
+    # SpanningTree.node is the one node lookup, and a placed sector holds
+    # each node once: in its tree, with one tile per node id
+    gone = {"SectorNode", "kind_of", "parent_of", "children_of"}
+    for path in SRC.glob("*.py"):
+        defined = _defined(ast.parse(path.read_text(encoding="utf-8")))
+        assert sorted(defined & gone) == [], path.stem
+    dual = ast.parse((SRC / "dual.py").read_text(encoding="utf-8"))
+    sector = _class(dual, "SectorTree")
+    members = _defined(sector) | {
+        node.target.id for node in sector.body if isinstance(node, ast.AnnAssign)
+    }
+    assert sorted(members & {"nodes", "levels"}) == []
+
+
+def test_placing_a_sector_looks_up_no_node(monkeypatch):
+    from hypq import dual, tree
+
+    calls = []
+    lookup = tree.SpanningTree.node
+
+    def counted(self, node_id):
+        calls.append(node_id)
+        return lookup(self, node_id)
+
+    monkeypatch.setattr(tree.SpanningTree, "node", counted)
+    sector = dual.pentagrid_sector(6)
+    assert len(calls) == 0
+    assert len(sector.tiles) == sector.tree.size == 609
 
 
 def _scheme_fact_sites():

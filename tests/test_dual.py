@@ -2,7 +2,7 @@
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import pytest
@@ -149,25 +149,24 @@ def test_side_numbering_follows_orientation():
 
 
 def test_pentagrid_sector_structure():
-    tree = pentagrid_sector(2)
-    assert [len(level) for level in tree.levels()] == [1, 3, 8]
-    assert sorted(tree.nodes) == list(range(1, 13))
-    seen_tiles = set()
-    for nid, sn in tree.nodes.items():
-        assert sn.node.id == nid
-        assert sn.tile.id not in seen_tiles  # one tile per node
-        seen_tiles.add(sn.tile.id)
-        if nid != 1:
+    sector = pentagrid_sector(2)
+    tree = sector.tree
+    assert tree.level_counts() == [1, 3, 8]
+    # one tile per node, node i on tiles[i - 1]
+    assert [tile.id for tile in sector.tiles] == list(range(1, 13))
+    for node, tile in zip(tree.nodes(), sector.tiles):
+        if node.id != 1:
             # a son's edge 0 is its father's side edge, walked backwards
-            father = tree.nodes[sn.node.parent]
-            slot = father.node.children.index(nid)
-            side = slot + (2 if father.node.kind is WHITE else 3)
-            sides = geometry_oracle.side_numbering(father.tile, 0)
-            a, b = father.tile.edge(sides[side - 1])
-            c, d = sn.tile.edge(0)
+            father = tree.node(node.parent)
+            father_tile = sector.tiles[father.id - 1]
+            slot = father.children.index(node.id)
+            side = slot + (2 if father.kind is WHITE else 3)
+            sides = geometry_oracle.side_numbering(father_tile, 0)
+            a, b = father_tile.edge(sides[side - 1])
+            c, d = tile.edge(0)
             assert abs(c - b) < 1e-12 and abs(d - a) < 1e-12
-            v = sn.vertex
-            assert min(abs(v - w) for w in sn.tile.vertices) < 1e-9
+            v = sector.vertex(node.id)
+            assert min(abs(v - w) for w in tile.vertices) < 1e-9
 
 
 # SHA-256 of render_svg(dual_scene(d)) for d = 0..6 with every tile's
@@ -187,17 +186,17 @@ LOOKUP_SVGS = [
 def test_reflected_placement_matches_the_lookup_oracle(depth):
     sector = pentagrid_sector(depth)
     want = geometry_oracle.sector_placement(depth)
-    assert sorted(sector.nodes) == sorted(want)
+    assert list(range(1, len(sector.tiles) + 1)) == sorted(want)
     scene = dual_scene(depth)
-    for nid, sn in sector.nodes.items():
+    for nid, tile in enumerate(sector.tiles, 1):
         old, _, vertex = want[nid]
         # the same cell, its vertex list a cyclic rotation of the old one
-        vs = sn.tile.vertices
+        vs = tile.vertices
         (shift,) = [k for k in range(len(vs)) if abs(vs[k] - old.vertices[0]) < 1e-9]
         rotated = vs[shift:] + vs[:shift]
         assert max(abs(a - b) for a, b in zip(rotated, old.vertices)) < 1e-9
-        assert abs(sn.tile.center - old.center) < 1e-9
-        assert abs(sn.vertex - vertex) < 1e-9
+        assert abs(tile.center - old.center) < 1e-9
+        assert abs(sector.vertex(nid) - vertex) < 1e-9
         # start the node's path where the lookup started it
         points = scene["tiles"][nid]["points"]
         scene["tiles"][nid]["points"] = points[shift:] + points[:shift]
@@ -233,7 +232,7 @@ def test_placed_tiles_are_the_sector_cells(p, depths):
     for depth in depths:
         sector = pentagrid_sector(depth, p)
         tess = tessellate(validate(p, 4), depth + 1)
-        head = sector.nodes[1].tile
+        head = sector.tiles[0]
         sign_l = sector.left.signed_distance(head.center)
         sign_r = sector.right.signed_distance(head.center)
         members = {
@@ -242,7 +241,7 @@ def test_placed_tiles_are_the_sector_cells(p, depths):
             if sector.left.signed_distance(t.center) * sign_l > 1e-9
             and sector.right.signed_distance(t.center) * sign_r > 1e-9
         }
-        cells = [tess.tile_at(sn.tile.center) for sn in sector.nodes.values()]
+        cells = [tess.tile_at(tile.center) for tile in sector.tiles]
         assert None not in cells
         ids = [cell.id for cell in cells]
         assert len(set(ids)) == len(ids)
@@ -263,15 +262,40 @@ def test_sector_placement_is_bounded(monkeypatch):
     assert "double precision ran out" in str(info.value)
 
 
+@pytest.mark.parametrize("depth", [12, 17, 40])
+def test_sector_cap_is_checked_before_the_tree_is_built(monkeypatch, depth):
+    import hypq.dual
+
+    def generate(*args, **kwargs):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    monkeypatch.setattr(hypq.dual, "generate", generate)
+    want = rf"^\{{5,4\}} sector: more than 100000 tiles at depth {depth}$"
+    with pytest.raises(CapExceeded, match=want):
+        pentagrid_sector(depth)
+
+
+def test_cli_refuses_a_dual_figure_past_the_tile_cap(capsys, monkeypatch, tmp_path):
+    from hypq.cli import main
+
+    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+    out = tmp_path / "dual.svg"
+    args = ["render", "--what", "dual45", "-p", "4", "-q", "5", "--depth", "20"]
+    assert main(args + ["-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: {5,4} sector: more than 100000 tiles at depth 20\n"
+    assert not out.exists()
+
+
 def test_audit_names_a_placed_tile_with_no_cell(monkeypatch):
     import hypq.dual
 
     def shifted(depth, p=5):
         # node 3's tile claims a vertex as its centre, which no cell has
         sector = pentagrid_sector(depth, p)
-        sn = sector.nodes[3]
-        moved = sn.tile._replace(center=sn.tile.vertices[0])
-        sector.nodes[3] = replace(sn, tile=moved)
+        tile = sector.tiles[2]
+        sector.tiles[2] = tile._replace(center=tile.vertices[0])
         return sector
 
     monkeypatch.setattr(hypq.dual, "pentagrid_sector", shifted)
@@ -280,13 +304,13 @@ def test_audit_names_a_placed_tile_with_no_cell(monkeypatch):
 
 
 def test_sector_stays_between_the_delimiters():
-    tree = pentagrid_sector(2)
-    head = tree.nodes[2].tile  # first level-1 cell, the sector's head
-    sign_l = tree.left.signed_distance(head.center)
-    sign_r = tree.right.signed_distance(head.center)
-    for sn in list(tree.nodes.values())[1:]:
-        assert tree.left.signed_distance(sn.tile.center) * sign_l > 0
-        assert tree.right.signed_distance(sn.tile.center) * sign_r > 0
+    sector = pentagrid_sector(2)
+    first = sector.tiles[1]  # node 2, the first level-1 cell
+    sign_l = sector.left.signed_distance(first.center)
+    sign_r = sector.right.signed_distance(first.center)
+    for tile in sector.tiles[1:]:
+        assert sector.left.signed_distance(tile.center) * sign_l > 0
+        assert sector.right.signed_distance(tile.center) * sign_r > 0
 
 
 @pytest.mark.parametrize("depth,covered,excluded", [(2, 12, 3), (3, 33, 4)])

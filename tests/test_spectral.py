@@ -415,13 +415,12 @@ def test_analyze_finds_roots_once(monkeypatch):
         assert deflations == [r.decomposition.core], (pair, scheme)
 
 
-def _decimal_pair_modulus_sq(poly, digits=60):
-    """Bounds on |z|^2 = -c/r for a monic cubic X^3 + aX^2 + bX + c with
-    one real root r, which bisection on P brackets to ``digits`` digits."""
-    _, a, b, c = poly
+def _decimal_real_root(poly, digits=60):
+    """Bounds on the one real root r of a monic cubic, which bisection on
+    P brackets to ``digits`` digits."""
     with localcontext() as ctx:
         ctx.prec = digits + 20
-        bound = Decimal(1 + max(abs(a), abs(b), abs(c)))  # Cauchy's bound
+        bound = Decimal(1 + max(map(abs, poly[1:])))  # Cauchy's bound
         lo, hi = -bound, bound
         while hi - lo > Decimal(10) ** -digits * bound:
             mid = (lo + hi) / 2
@@ -429,7 +428,17 @@ def _decimal_pair_modulus_sq(poly, digits=60):
                 lo = mid
             else:
                 hi = mid
-        assert lo > 1
+        return lo, hi
+
+
+def _decimal_pair_modulus_sq(poly, digits=60):
+    """Bounds on |z|^2 = -c/r for a monic cubic X^3 + aX^2 + bX + c with
+    one real root r > 1."""
+    c = poly[3]
+    lo, hi = _decimal_real_root(poly, digits)
+    assert lo > 1
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
         return sorted((-c / lo, -c / hi))
 
 
@@ -447,3 +456,31 @@ def test_is_pisot_decides_pairs_a_float_margin_cannot(poly):
     want = REASON_PISOT if high < 1 else REASON_NON_PISOT
     cert = is_pisot(poly)
     assert (cert.pisot, cert.reason) == (high < 1, want)
+
+
+@pytest.mark.parametrize(
+    "poly,reason",
+    [
+        ((1, -235756, 873157, -808477), REASON_NON_PISOT),
+        ((1, 731003, -202557, 14064), REASON_NO_DOMINANT),
+    ],
+)
+def test_find_roots_keeps_a_pair_the_closed_form_rounds_away(poly, reason):
+    # one real root and a complex pair so narrow that the closed form's
+    # radicand rounds below 0: the pair comes from the real root by Vieta
+    _, a, b, c = poly
+    assert a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c < 0
+    roots = find_roots(poly).roots
+    (real,) = [r.value for r in roots if r.is_real]
+    low, high = sorted(
+        (r.value for r in roots if not r.is_real), key=lambda z: z.imag
+    )
+    assert low == high.conjugate() and high.imag > 0
+    lo, _ = _decimal_real_root(poly)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        re = (-a - lo) / 2
+        want = complex(float(re), float((-c / lo - re * re).sqrt()))
+    assert abs(real - float(lo)) <= 1e-9 * abs(real)
+    assert abs(high - want) <= 1e-9 * abs(want)
+    assert is_pisot(poly).reason == reason

@@ -72,10 +72,9 @@ def test_tree_navigation_is_consistent():
     seen_children = 0
     for node in tree.nodes():
         for child in node.children:
-            assert tree.parent_of(child) == node.id
+            assert tree.node(child).parent == node.id
             seen_children += 1
-        assert tree.children_of(node.id) == node.children
-        assert tree.kind_of(node.id) is node.kind
+        assert tree.node(node.id) == node
     # every node except the root is somebody's child
     assert seen_children == tree.size - 1
 
@@ -86,7 +85,7 @@ def test_children_kinds_follow_the_rules():
         if node.level == tree.depth:
             assert node.children == ()
             continue
-        got = [tree.kind_of(c) for c in node.children]
+        got = [tree.node(c).kind for c in node.children]
         assert got == expand(node.kind, FIVE_SEVEN_V1)
 
 
@@ -208,7 +207,7 @@ def test_equal_trees_stay_equal_after_navigation():
     a, b = generate(FIVE_FOUR, 4), generate(FIVE_FOUR, 4)
     assert a == b
     a.node(3)
-    a.parent_of(20)
+    a.node(20)
     assert a._prefix_cache and not b._prefix_cache
     assert a == b
     assert a != generate(FIVE_FOUR, 3)
@@ -244,9 +243,6 @@ def _assert_navigation_equals_the_oracle(tree, ids):
         node = tree.node(node_id)
         assert type(node) is TreeNode
         assert (node.id, node.kind, node.level, node.parent, node.children) == want
-        assert tree.kind_of(node_id) is want[1]
-        assert tree.parent_of(node_id) == want[3]
-        assert tree.children_of(node_id) == want[4]
 
 
 def test_navigation_equals_the_list_prefix_oracle():
@@ -264,9 +260,8 @@ def test_navigation_equals_the_list_prefix_oracle():
             tree, [rng.randint(1, tree.size) for _ in range(2000)]
         )
         for bad in (0, tree.size + 1):
-            for lookup in (tree.node, tree.kind_of, tree.parent_of, tree.children_of):
-                with pytest.raises(KeyError):
-                    lookup(bad)
+            with pytest.raises(KeyError):
+                tree.node(bad)
     # 298 and 297 sons a node: child counts that do not fit in a byte
     tree = generate(build_system(validate(300, 4), Scheme.EVEN_Q), 2)
     assert max(tree.level_counts()) > 256**2
@@ -301,10 +296,9 @@ class _Index:
 
 def test_node_ids_go_through_operator_index():
     tree = generate(FIVE_FOUR, 3)
-    for lookup in (tree.node, tree.kind_of, tree.parent_of, tree.children_of):
-        for bad in (1.5, 2.0, "3", None):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                lookup(bad)
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            tree.node(bad)
     root = tree.node(True)
     assert root == tree.node(1) and type(root.id) is int
     assert tree.node(_Index()) == tree.node(3)
