@@ -1,13 +1,14 @@
 """Command-line surface: analyze, tree, numeration, render, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource limit (a node or tile cap exceeded, or double precision
-exhausted near the disc boundary).  ``--scheme auto`` (the default)
-picks the even scheme for even q and reports both odd variants for odd
-q; the subcommands that need a single scheme require an explicit choice
-when q is odd.  The node cap honors the HYPQ_NODE_CAP environment variable;
-the --node-cap flag beats it.  A HYPQ_NODE_CAP that is not an integer
-raises ``errors.InvalidNodeCap``, which exits 2 (invalid input).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
+SVG that ``render -o`` cannot write), 3 resource limit (a node or tile
+cap exceeded, or double precision exhausted near the disc boundary).
+``--scheme auto`` (the default) picks the even scheme for even q and
+reports both odd variants for odd q; the subcommands that need a single
+scheme require an explicit choice when q is odd.  The node cap honors
+the HYPQ_NODE_CAP environment variable; the --node-cap flag beats it.
+A HYPQ_NODE_CAP that is not an integer raises ``errors.InvalidNodeCap``,
+which exits 2 (invalid input).
 """
 
 from __future__ import annotations
@@ -162,8 +163,11 @@ def cmd_render(args) -> int:
             )
         scene = dual_scene(args.depth)
     svg = render_svg(scene)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise HypqError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return EXIT_OK
 
 
@@ -242,7 +246,3 @@ def main(argv: list[str] | None = None) -> int:
     except (HypqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

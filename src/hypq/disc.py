@@ -123,10 +123,8 @@ class Isometry:
         return Isometry(a, b, c, d, self.anti)
 
 
-def rotation(angle: float, about: complex = 0j) -> Isometry:
+def rotation(angle: float, about: complex) -> Isometry:
     rot = Isometry(cmath.exp(1j * angle), 0, 0, 1)
-    if about == 0:
-        return rot
     t = translate_to(about)
     return t.compose(rot).compose(t.inverse())
 

@@ -240,10 +240,10 @@ def check_bijection(depth: int, p: int = 5) -> BijectionReport:
 # Rendering
 
 
-def dual_scene(depth: int = 3, p: int = 5) -> dict:
-    """Scene showing the numbered sector: black (S1) tiles shaded, node
-    ids printed at their assigned vertices, delimiting lines in full."""
-    sector = pentagrid_sector(depth, p)
+def dual_scene(depth: int = 3) -> dict:
+    """Scene showing the numbered {5,4} sector: black (S1) tiles shaded,
+    node ids printed at their assigned vertices, delimiting lines in full."""
+    sector = pentagrid_sector(depth)
     tiles = [_tile_entry(sector.central)]
     labels = []
     for nid, tile in enumerate(sector.tiles, 1):

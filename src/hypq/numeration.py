@@ -21,11 +21,11 @@ d*t_k + [0, S_{k-1}], and consecutive pieces meet because
 t_k <= S_{k-1} + 1, so the union is [0, b*t_k + S_{k-1}] = [0, S_k].
 Up to the longest prefix that meets the condition, feasibility is
 therefore a range test; above it a memoized search remains.  Both read
-a table that lives on the basis itself, one per digit bound, with no
-module-level cache: it grows in place and its memo is capped.  Every
-regular case with p <= 12 and q <= 13 meets the condition on its first
-80 terms, and so does the second odd variant of {4,5}; the first odd
-variant of {4,5} fails it at the second term.
+a table that lives on the basis itself, with no module-level cache: it
+grows in place and its memo is capped.  Every regular case with p <= 12
+and q <= 13 meets the condition on its first 80 terms, and so does the
+second odd variant of {4,5}; the first odd variant of {4,5} fails it at
+the second term.
 """
 
 from __future__ import annotations
@@ -49,27 +49,27 @@ class BasisSequence:
     recurrence read off the splitting polynomial extends them.  Other
     solutions of the same recurrence would be equally conceivable.
 
-    The search state (one _Table per digit bound) hangs off the basis,
-    outside its constructor, equality and repr: it is made on first use
-    and grows in place, so a basis applies its recurrence once per term.
+    The digit bound is the basis's own; a basis under another bound is
+    BasisSequence(seq.terms, seq.coefficients, b).  The search state (a
+    _Table) hangs off the basis, outside its constructor, equality and
+    repr: it is made on first use and grows in place, so a basis applies
+    its recurrence once per term.
     """
 
     terms: tuple[int, ...]
     coefficients: tuple[int, ...]
     digit_bound: int
-    _tables: dict[int, _Table] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _search: _Table | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def _table(self, bound: int | None = None) -> _Table:
-        """The search state under a digit bound, the basis's own by default."""
-        bound = self.digit_bound if bound is None else bound
-        table = self._tables.get(bound)
+    def _table(self) -> _Table:
+        """The search state, made on first use."""
+        table = self._search
         if table is None:
-            table = self._tables[bound] = _Table(self.terms, self.coefficients, bound)
+            table = _Table(self.terms, self.coefficients, self.digit_bound)
+            object.__setattr__(self, "_search", table)
         return table
 
 
@@ -90,7 +90,7 @@ _MEMO_LIMIT = 1 << 15
 
 
 class _Table:
-    """Terms, prefix sums and feasibility of a basis under one digit bound.
+    """Terms, prefix sums and feasibility of a basis under its digit bound.
 
     Can a remainder be written with the first k terms and digits 0..bound?
     For k up to ``interval``, the longest prefix of terms meeting the
@@ -185,11 +185,12 @@ def grow(seq: BasisSequence, n: int) -> BasisSequence:
 
     The copy shares the input's search state, which holds the same terms.
     """
-    terms = seq._table().grow_to(n)
+    table = seq._table()
+    terms = table.grow_to(n)
     if n <= len(seq.terms):
         return seq
     out = BasisSequence(tuple(terms[:n]), seq.coefficients, seq.digit_bound)
-    object.__setattr__(out, "_tables", seq._tables)
+    object.__setattr__(out, "_search", table)
     return out
 
 
@@ -228,9 +229,7 @@ def represent_greedy(value: int, seq: BasisSequence) -> Representation:
     return Representation(tuple(digits), value)
 
 
-def represent_maximal(
-    value: int, seq: BasisSequence, bound: int | None = None
-) -> Representation:
+def represent_maximal(value: int, seq: BasisSequence) -> Representation:
     """Longest digit string for the value; lexicographically smallest on ties.
 
     First find the greatest feasible length (leading digit nonzero),
@@ -245,12 +244,12 @@ def represent_maximal(
     """
     if value < 0:
         raise ValueError("value must be >= 0")
-    bound = seq.digit_bound if bound is None else bound
     if value == 0:
         return Representation((0,), 0)
-    if bound < 1:
+    b = seq.digit_bound
+    if b < 1:
         raise Unrepresentable("digit bound below 1 admits only zero")
-    feas = seq._table(bound)
+    feas = seq._table()
     terms = feas.grow_past(value)
 
     for length in range(bisect_right(terms, value), 0, -1):
@@ -258,7 +257,7 @@ def represent_maximal(
         if lead is not None:
             break
     else:
-        raise Unrepresentable(f"no digit string over 0..{bound} encodes {value}")
+        raise Unrepresentable(f"no digit string over 0..{b} encodes {value}")
 
     digits = [lead]
     r = value - lead * terms[length - 1]
@@ -273,22 +272,20 @@ def represent_maximal(
     return Representation(tuple(digits), value)
 
 
-def enumerate_language(
-    seq: BasisSequence, bound: int, max_len: int
-) -> list[tuple[int, ...]]:
+def enumerate_language(seq: BasisSequence, max_len: int) -> list[tuple[int, ...]]:
     """Every value's longest representation within max_len digits.
 
     Exhaustive over all digit strings of length <= max_len, so it serves
     as the brute-force oracle for represent_maximal at small sizes.
     """
     language = {(0,)}
-    for reps in _survey(seq, bound, max_len).values():
+    for reps in _survey(seq, max_len).values():
         language.add(reps[0])
     return sorted(language, key=lambda ds: (len(ds), ds))
 
 
 def find_maximal_ties(
-    seq: BasisSequence, bound: int, max_len: int
+    seq: BasisSequence, max_len: int
 ) -> dict[int, list[tuple[int, ...]]]:
     """Values whose longest representation is not unique, with all winners.
 
@@ -296,12 +293,12 @@ def find_maximal_ties(
     of the longest representation; the tie-break in represent_maximal
     exists because such values occur.
     """
-    best = _survey(seq, bound, max_len)
+    best = _survey(seq, max_len)
     return {v: reps for v, reps in sorted(best.items()) if len(reps) > 1}
 
 
 def _survey(
-    seq: BasisSequence, bound: int, max_len: int, limit: int | None = None
+    seq: BasisSequence, max_len: int, limit: int | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
     """value -> all of its longest digit strings within max_len digits,
     in lexicographic order; with a limit, only values up to it.
@@ -314,6 +311,7 @@ def _survey(
     if max_len < 1 or max_len > 12:
         raise ValueError("max_len must be within 1..12")
     terms = seq._table().grow_to(max_len)
+    bound = seq.digit_bound
     if limit is None:
         limit = bound * sum(terms[:max_len])
     best: dict[int, list[tuple[int, ...]]] = {}

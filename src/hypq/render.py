@@ -212,6 +212,10 @@ def render_svg(scene: dict) -> str:
 # ----------------------------------------------------------------------
 # Scene builders
 
+#: Walk lengths of the figure lines.
+_MIDLINE_STEPS = 4
+_ZIGZAG_STEPS = 8
+
 
 def _tile_entry(tile: Tile) -> dict:
     return {"points": tile.vertices}
@@ -254,9 +258,7 @@ def sector_scene(
     return scene
 
 
-def midlines_scene(
-    pair: SchlafliPair, generations: int = 3, steps: int = 4
-) -> dict:
+def midlines_scene(pair: SchlafliPair, generations: int = 3) -> dict:
     """Tessellation with one mid-point line per base-tile edge.
 
     Each line is drawn in full, ideal point to ideal point, the walked
@@ -265,7 +267,7 @@ def midlines_scene(
     scene = tessellation_scene(pair, generations)
     base = base_tile(pair)
     for i in range(base.p):
-        ml = h_midpoint_line(pair, base.edge(i), steps=steps)
+        ml = h_midpoint_line(pair, base.edge(i), steps=_MIDLINE_STEPS)
         e1, e2 = ml.supporting.ideal_endpoints()
         scene["geodesics"].append({"a": e1, "b": e2})
         scene["labels"].extend(
@@ -274,11 +276,9 @@ def midlines_scene(
     return scene
 
 
-def zigzag_scene(
-    pair: SchlafliPair, generations: int = 3, steps: int = 8
-) -> dict:
+def zigzag_scene(pair: SchlafliPair, generations: int = 3) -> dict:
     """Tessellation with one zig-zag edge walk drawn on top."""
     scene = tessellation_scene(pair, generations)
-    path = zigzag_line(pair, steps=steps)
+    path = zigzag_line(pair, steps=_ZIGZAG_STEPS)
     scene["geodesics"] = [{"a": a, "b": b} for a, b in path.edges]
     return scene

@@ -16,7 +16,8 @@ mapped and the tile built, which at {7,3} is under half the candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .disc import Tile, _edge_mirror, _mirrored_tile, base_tile
 from .errors import CapExceeded, PrecisionExhausted
@@ -25,6 +26,9 @@ from .schlafli import SchlafliPair
 #: Euclidean tolerance identifying two copies of the same cell or vertex.
 DEDUP_TOL = 1e-6
 
+#: Grid step of a SpatialIndex.
+_STEP = 2.0 * DEDUP_TOL
+
 #: Ceiling on the number of generated tiles.
 DEFAULT_TILE_CAP = 100_000
 
@@ -32,15 +36,16 @@ DEFAULT_TILE_CAP = 100_000
 class SpatialIndex:
     """Points on a quantized grid with nearest-within-tolerance lookup.
 
-    The grid step is 2*tol.  A stored point w with |z - w| < tol has
-    |w.x - z.x| < tol = step/2, so w.x/step lies within half a cell of
-    z.x/step, and its column is floor(z.x/step - 1/2) or the one after;
-    the same holds for rows.  A lookup therefore probes 2x2 cells.  For
-    |z| <= 1 the cell coordinates round by under 1e-10 of a cell, so
-    only a point within about 1e-10 relative of tol could be missed.
-    In the tessellations of {5,4}, {4,5}, {6,4}, {5,7}, {7,3}, {8,3}
-    and {8,8} up to 9 generations, no center or vertex lies between
-    tol/20 and 2*tol of another, so none comes near that edge.
+    The tolerance tol is DEDUP_TOL and the grid step is 2*tol.  A stored
+    point w with |z - w| < tol has |w.x - z.x| < tol = step/2, so
+    w.x/step lies within half a cell of z.x/step, and its column is
+    floor(z.x/step - 1/2) or the one after; the same holds for rows.  A
+    lookup therefore probes 2x2 cells.  For |z| <= 1 the cell
+    coordinates round by under 1e-10 of a cell, so only a point within
+    about 1e-10 relative of tol could be missed.  In the tessellations
+    of {5,4}, {4,5}, {6,4}, {5,7}, {7,3}, {8,3} and {8,8} up to 9
+    generations, no center or vertex lies between tol/20 and 2*tol of
+    another, so none comes near that edge.
 
     The grid is a dict of columns, each a dict from row to the tuple of
     (point, payload) pairs stored in that cell, so that a probe hashes
@@ -49,9 +54,7 @@ class SpatialIndex:
     scanned wins.
     """
 
-    def __init__(self, tol: float = DEDUP_TOL):
-        self.tol = tol
-        self._step = 2.0 * tol
+    def __init__(self) -> None:
         self._columns: dict[int, dict[int, tuple[tuple[complex, int], ...]]] = {}
 
     def find(self, z: complex) -> int | None:
@@ -62,14 +65,13 @@ class SpatialIndex:
         """find(z); on a miss, z is also stored under payload unless
         payload is None.  One pass: the store cell is taken from the
         same scaled coordinates as the probe."""
-        step = self._step
-        u = z.real / step
-        v = z.imag / step
+        u = z.real / _STEP
+        v = z.imag / _STEP
         x0 = math.floor(u - 0.5)
         y0 = math.floor(v - 0.5)
         get = self._columns.get
         best = None
-        best_d = self.tol
+        best_d = DEDUP_TOL
         for column in (get(x0), get(x0 + 1)):
             if column:
                 for w, found in column.get(y0, ()) + column.get(y0 + 1, ()):
@@ -82,8 +84,7 @@ class SpatialIndex:
 
     def insert(self, z: complex, payload: int) -> None:
         """Store z under payload, whatever is already stored near it."""
-        step = self._step
-        self._append(math.floor(z.real / step), math.floor(z.imag / step), z, payload)
+        self._append(math.floor(z.real / _STEP), math.floor(z.imag / _STEP), z, payload)
 
     def _append(self, x: int, y: int, z: complex, payload: int) -> None:
         column = self._columns.setdefault(x, {})
@@ -98,10 +99,6 @@ class Tessellation:
     generations: int
     tiles: list[Tile]
     _centers: SpatialIndex
-    _vertex_index: SpatialIndex | None = field(default=None, repr=False)
-    _vertex_groups: list[tuple[complex, list[int]]] | None = field(
-        default=None, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -118,9 +115,9 @@ class Tessellation:
         """
         return self.tile_at(_edge_mirror(tile, edge_index)[1])
 
-    def _ensure_vertices(self) -> None:
-        if self._vertex_index is not None:
-            return
+    @cached_property
+    def _vertices(self) -> tuple[SpatialIndex, list[tuple[complex, list[int]]]]:
+        """The vertex index and its groups, built on first use."""
         index = SpatialIndex()
         probe = index.find_or_insert
         groups: list[tuple[complex, list[int]]] = []
@@ -132,17 +129,14 @@ class Tessellation:
                     groups.append((v, [tid]))
                 else:
                     groups[gid][1].append(tid)
-        self._vertex_index = index
-        self._vertex_groups = groups
+        return index, groups
 
     def vertex_groups(self) -> list[tuple[complex, list[int]]]:
         """Each distinct vertex with the ids of the tiles meeting there."""
-        self._ensure_vertices()
-        return self._vertex_groups
+        return self._vertices[1]
 
     def vertex_id(self, z: complex) -> int | None:
-        self._ensure_vertices()
-        return self._vertex_index.find(z)
+        return self._vertices[0].find(z)
 
 
 def tessellate(

@@ -121,7 +121,7 @@ class SpanningTree:
     #: a level through list.__getitem__ costs half of tuple.__getitem__
     _sons: list[int] = field(init=False, repr=False, compare=False)
     _prefix_cache: dict[int, array] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:

@@ -207,8 +207,7 @@ def check_numeration() -> str:
         if not rep.regular:
             continue
         seq = basis(pair, scheme, 8)
-        b = rep.digit_bound
-        assert seq.digit_bound == b
+        assert seq.digit_bound == rep.digit_bound
         small = []
         for v in range(10001):
             r = represent_maximal(v, seq)
@@ -217,7 +216,7 @@ def check_numeration() -> str:
                 small.append(r.digits)
         # a string of a value <= 2000 has at most this many digits
         horizon = bisect_right(grow(seq, 13).terms, 2000)
-        brute = _survey(seq, b, horizon, 2000)
+        brute = _survey(seq, horizon, 2000)
         for v in range(1, 2001):
             want = brute[v][0] if v in brute else None
             assert small[v] == want, (

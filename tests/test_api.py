@@ -2,6 +2,7 @@
 type the package declares is one it raises."""
 
 import ast
+import dataclasses
 import inspect
 import pathlib
 
@@ -228,3 +229,39 @@ def test_the_regularity_verdict_is_exact():
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert floats == []
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def _init_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.init]
+
+
+def test_single_value_options_are_gone():
+    # a value the inputs already carry is read from them, and a value
+    # with one use is a constant
+    from hypq import disc, dual, numeration, render, tiling, tree
+
+    assert _parameters(numeration.represent_maximal) == ["value", "seq"]
+    assert _parameters(numeration.enumerate_language) == ["seq", "max_len"]
+    assert _parameters(numeration.find_maximal_ties) == ["seq", "max_len"]
+    assert _parameters(numeration._survey) == ["seq", "max_len", "limit"]
+    basis = numeration.BasisSequence
+    assert _init_fields(basis) == ["terms", "coefficients", "digit_bound"]
+    assert [f.name for f in dataclasses.fields(basis)] == [
+        "terms", "coefficients", "digit_bound", "_search"
+    ]
+    assert _parameters(basis._table) == ["self"]
+    assert _parameters(tiling.SpatialIndex) == []
+    assert _init_fields(tiling.Tessellation) == [
+        "pair", "generations", "tiles", "_centers"
+    ]
+    assert not hasattr(tiling.Tessellation, "_ensure_vertices")
+    assert _init_fields(tree.SpanningTree) == ["system", "depth", "levels"]
+    assert _parameters(render.midlines_scene) == ["pair", "generations"]
+    assert _parameters(render.zigzag_scene) == ["pair", "generations"]
+    assert _parameters(dual.dual_scene) == ["depth"]
+    about = inspect.signature(disc.rotation).parameters["about"]
+    assert about.default is inspect.Parameter.empty

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypq import numeration
 from hypq.errors import DigitOutOfRange, Unrepresentable
 from hypq.numeration import (
+    BasisSequence,
     _survey,
     _Table,
     basis,
@@ -29,6 +30,15 @@ from hypq.verify import _desk_cases
 
 FIVE_FOUR = basis(validate(5, 4), Scheme.EVEN_Q, 8)
 FIVE_SEVEN = basis(validate(5, 7), Scheme.ODD_V1, 8)
+
+
+def _with_bound(seq, bound):
+    """The same terms and recurrence under another digit bound."""
+    return BasisSequence(seq.terms, seq.coefficients, bound)
+
+
+#: {5,4}'s basis with digits 0..1 instead of 0..2.
+FIVE_FOUR_B1 = _with_bound(FIVE_FOUR, 1)
 
 
 def test_basis_terms_and_bound():
@@ -118,7 +128,7 @@ def test_maximal_can_disagree_with_greedy():
 
 def test_maximal_tie_break_is_lexicographic():
     # 16 = 2*8 = 1*8 + 2*3 + 2*1: two longest strings, the smaller wins
-    ties = find_maximal_ties(FIVE_FOUR, 2, 3)
+    ties = find_maximal_ties(FIVE_FOUR, 3)
     assert 16 in ties
     assert ties[16] == [(1, 2, 2), (2, 0, 0)]
     assert represent_maximal(16, FIVE_FOUR).digits == (1, 2, 2)
@@ -126,7 +136,7 @@ def test_maximal_tie_break_is_lexicographic():
 
 def test_maximal_agrees_with_exhaustive_survey():
     best = {}
-    for digits in enumerate_language(FIVE_FOUR, 2, 6):
+    for digits in enumerate_language(FIVE_FOUR, 6):
         best[decode(digits, FIVE_FOUR)] = digits
     horizon = grow(FIVE_FOUR, 7).terms[6]  # above it, 7-digit strings win
     for value, want in sorted(best.items()):
@@ -147,12 +157,15 @@ def test_maximal_round_trip_and_leading_digit():
 
 
 def test_maximal_with_explicit_bound():
-    # bound 1 over the same basis: some values drop out entirely
-    assert represent_maximal(4, FIVE_FOUR, bound=1).digits == (1, 1)
-    with pytest.raises(Unrepresentable):
-        represent_maximal(7, FIVE_FOUR, bound=1)
-    with pytest.raises(Unrepresentable):
-        represent_maximal(1, FIVE_FOUR, bound=0)
+    # bound 1 over the same basis, built by hand: some values drop out
+    # entirely, and the basis under its own bound is untouched
+    assert represent_maximal(4, FIVE_FOUR_B1).digits == (1, 1)
+    with pytest.raises(Unrepresentable, match="no digit string over 0..1 encodes 7"):
+        represent_maximal(7, FIVE_FOUR_B1)
+    assert represent_maximal(7, FIVE_FOUR).digits == (2, 1)
+    with pytest.raises(Unrepresentable, match="digit bound below 1"):
+        represent_maximal(1, _with_bound(FIVE_FOUR, 0))
+    assert represent_maximal(0, _with_bound(FIVE_FOUR, 0)).digits == (0,)
     with pytest.raises(ValueError):
         represent_maximal(-1, FIVE_FOUR)
 
@@ -177,9 +190,9 @@ def test_golden_ratio_case_has_gaps():
 
 def test_enumerate_language_guard():
     with pytest.raises(ValueError):
-        enumerate_language(FIVE_FOUR, 2, 0)
+        enumerate_language(FIVE_FOUR, 0)
     with pytest.raises(ValueError):
-        enumerate_language(FIVE_FOUR, 2, 13)
+        enumerate_language(FIVE_FOUR, 13)
 
 
 def test_find_maximal_ties_refuses_before_the_work():
@@ -187,7 +200,7 @@ def test_find_maximal_ties_refuses_before_the_work():
     for max_len in (0, 13):
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
-            find_maximal_ties(basis(validate(5, 4), Scheme.EVEN_Q, 8), 2, max_len)
+            find_maximal_ties(basis(validate(5, 4), Scheme.EVEN_Q, 8), max_len)
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -240,9 +253,9 @@ class _MemoOnly:
         return hit
 
 
-def _memo_only_maximal(value, seq, bound=None):
+def _memo_only_maximal(value, seq):
     """Longest, then lexicographically least, digit string; None if none."""
-    bound = seq.digit_bound if bound is None else bound
+    bound = seq.digit_bound
     if value == 0:
         return (0,)
     while seq.terms[-1] <= value:
@@ -271,9 +284,9 @@ def _memo_only_maximal(value, seq, bound=None):
     return tuple(digits)
 
 
-def _maximal_or_none(value, seq, bound=None):
+def _maximal_or_none(value, seq):
     try:
-        return represent_maximal(value, seq, bound).digits
+        return represent_maximal(value, seq).digits
     except Unrepresentable:
         return None
 
@@ -334,18 +347,17 @@ def test_maximal_equals_the_memo_only_oracle():
             assert _maximal_or_none(value, seq) == _memo_only_maximal(value, seq), (
                 p, q, scheme, value,
             )
-    # an explicit bound leaves the prefix early: 3 > 1 + 1*1 over 1, 3, 8, ...
+    # another bound leaves the prefix early: 3 > 1 + 1*1 over 1, 3, 8, ...
     for value in [*range(3001), *huge[:10]]:
-        assert _maximal_or_none(value, FIVE_FOUR, 1) == _memo_only_maximal(
-            value, FIVE_FOUR, 1
+        assert _maximal_or_none(value, FIVE_FOUR_B1) == _memo_only_maximal(
+            value, FIVE_FOUR_B1
         ), value
 
 
 def test_golden_ratio_case_agrees_with_exhaustive_survey():
     for scheme, max_len in [(Scheme.ODD_V1, 12), (Scheme.ODD_V2, 8)]:
         seq = basis(validate(4, 5), scheme, 8)
-        b = seq.digit_bound
-        best = {decode(ds, seq): ds for ds in enumerate_language(seq, b, max_len)}
+        best = {decode(ds, seq): ds for ds in enumerate_language(seq, max_len)}
         horizon = grow(seq, max_len + 1).terms[max_len]
         for value in range(horizon):
             assert _maximal_or_none(value, seq) == best.get(value), (scheme, value)
@@ -371,7 +383,9 @@ def test_numeration_cache_stays_bounded(monkeypatch):
     values = [rng.randrange(10**20, 10**30) for _ in range(10**4)]
     for value in values:
         represent_maximal(value, seq)
-    assert seq._tables == {seq.digit_bound: table}
+    # one table per basis, shared by its grown copies
+    assert seq._table() is table
+    assert grow(seq, 12)._table() is table
     assert len(seq.terms) == 8
     terms = table.terms
     assert len(terms) == bisect_right(terms, max(values)) + 1
@@ -390,9 +404,10 @@ def test_numeration_cache_stays_bounded(monkeypatch):
 # ------------------------------------------- the brute-force survey and its oracles
 
 
-def _product_survey(seq, bound, max_len):
+def _product_survey(seq, max_len):
     """value -> all of its longest digit strings within max_len, by
     itertools.product over every string."""
+    bound = seq.digit_bound
     weights = grow(seq, max_len).terms[:max_len]
     best = {}
     for length in range(1, max_len + 1):
@@ -408,9 +423,10 @@ def _product_survey(seq, bound, max_len):
     return {v: reps for v, (_, reps) in best.items()}
 
 
-def _brute_longest(seq, bound, limit):
+def _brute_longest(seq, limit):
     """Length of the longest digit string per value up to limit, by a
     depth-first walk that stops at the first digit past the limit."""
+    bound = seq.digit_bound
     seq = grow(seq, 4)
     while seq.terms[-1] <= limit:
         seq = grow(seq, len(seq.terms) + 1)
@@ -436,35 +452,35 @@ def _brute_longest(seq, bound, limit):
 
 
 SURVEY_CASES = [
-    (basis(validate(4, 5), Scheme.ODD_V1, 8), 1, 12),
-    (basis(validate(4, 5), Scheme.ODD_V2, 8), 2, 8),
-    (FIVE_FOUR, 1, 10),
-    (FIVE_FOUR, 2, 8),
+    (basis(validate(4, 5), Scheme.ODD_V1, 8), 12),
+    (basis(validate(4, 5), Scheme.ODD_V2, 8), 8),
+    (FIVE_FOUR_B1, 10),
+    (FIVE_FOUR, 8),
 ]
 SURVEY_IDS = ["4,5-odd-v1", "4,5-odd-v2", "5,4-bound-1", "5,4-bound-2"]
 
 
-@pytest.mark.parametrize("seq, bound, max_len", SURVEY_CASES, ids=SURVEY_IDS)
-def test_language_and_ties_match_the_product_survey(seq, bound, max_len):
-    old = _product_survey(seq, bound, max_len)
-    assert _survey(seq, bound, max_len) == {v: sorted(r) for v, r in old.items()}
+@pytest.mark.parametrize("seq, max_len", SURVEY_CASES, ids=SURVEY_IDS)
+def test_language_and_ties_match_the_product_survey(seq, max_len):
+    old = _product_survey(seq, max_len)
+    assert _survey(seq, max_len) == {v: sorted(r) for v, r in old.items()}
     language = sorted({(0,), *(min(r) for r in old.values())}, key=lambda ds: (len(ds), ds))
-    assert enumerate_language(seq, bound, max_len) == language
+    assert enumerate_language(seq, max_len) == language
     ties = {v: sorted(r) for v, r in sorted(old.items()) if len(r) > 1}
-    assert find_maximal_ties(seq, bound, max_len) == ties
+    assert find_maximal_ties(seq, max_len) == ties
 
 
-@pytest.mark.parametrize("seq, bound, max_len", SURVEY_CASES, ids=SURVEY_IDS)
-def test_survey_lengths_match_the_old_walk(seq, bound, max_len):
+@pytest.mark.parametrize("seq, max_len", SURVEY_CASES, ids=SURVEY_IDS)
+def test_survey_lengths_match_the_old_walk(seq, max_len):
     # values up to 2000, or below the 13th term where 12 digits run out
     terms = grow(seq, 13).terms
     limit = min(2000, terms[12] - 1)
     horizon = bisect_right(terms, limit)
-    best = _survey(seq, bound, horizon, limit)
-    assert {v: len(r[0]) for v, r in best.items()} == _brute_longest(seq, bound, limit)
+    best = _survey(seq, horizon, limit)
+    assert {v: len(r[0]) for v, r in best.items()} == _brute_longest(seq, limit)
     # the limit only cuts values: below it, the unlimited survey agrees
-    full = _survey(seq, bound, horizon)
+    full = _survey(seq, horizon)
     assert best == {v: r for v, r in full.items() if v <= limit}
     for value in range(1, limit + 1):
         want = best[value][0] if value in best else None
-        assert _maximal_or_none(value, seq, bound) == want, value
+        assert _maximal_or_none(value, seq) == want, value

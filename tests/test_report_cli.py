@@ -1,13 +1,19 @@
 """Report serialization and the command-line surface."""
 
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypq
 from hypq.cli import main
 from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.report import (
@@ -23,6 +29,7 @@ from hypq.report import (
 from hypq.schlafli import Scheme, validate
 from hypq.spectral import analyze
 from hypq.verify import EVEN_PAIRS, ODD_PAIRS, CheckResult
+from sweep_sample import SWEEP_SAMPLE
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +184,33 @@ def test_report_text_block(even_report, odd_reports):
     assert "warning: rule S1 produces S0 with multiplicity 0" in golden
 
 
+#: SHA-256 of the concatenated sample reports, by writer; see
+#: test_sample_reports_are_pinned for how they are concatenated.
+SAMPLE_REPORT_SHA256 = {
+    "report_json": "e8cebc9ecad029304420fed7e92634e0481a7f7cbc5538789de97dd4d278d641",
+    "report_text": "60c3a33696861f0464f4f2b0b5bcfb334672e767c94e844067c0b580463bc09f",
+}
+
+
+def test_sample_reports_are_pinned():
+    """Both writers, byte for byte, over the 1007 cases of SWEEP_SAMPLE.
+
+    Protocol: for each (pair, scheme) of SWEEP_SAMPLE in its list order,
+    the writer's string for analyze(pair, scheme), UTF-8 encoded; the
+    strings are concatenated with no separator and hashed with SHA-256.
+    Every sample case is analysed (the sample holds only the schemes
+    ``analyze --scheme auto`` reports), so no refusal enters the hash:
+    a case that raised would fail the test.
+    """
+    reports = [analyze(pair, scheme) for pair, scheme in SWEEP_SAMPLE]
+    assert len(reports) == 1007
+    for writer in (report_json, report_text):
+        digest = hashlib.sha256()
+        for sr in reports:
+            digest.update(writer(sr).encode("utf-8"))
+        assert digest.hexdigest() == SAMPLE_REPORT_SHA256[writer.__name__]
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -326,6 +360,33 @@ def test_cli_render_writes_svg(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert text.startswith("<?xml")
     assert "<svg" in text and text.rstrip().endswith("</svg>")
+
+
+def test_cli_render_refuses_an_output_it_cannot_write(tmp_path, capsys):
+    # a missing directory, and a directory in place of the file: invalid
+    # input with a one-line error, not a traceback with exit 1
+    for out in (tmp_path / "missing" / "tess.svg", tmp_path):
+        args = ["render", "-p", "5", "-q", "4", "--what", "tessellation",
+                "--depth", "1", "-o", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_python_dash_m_hypq_runs_the_cli(capsys):
+    src = str(pathlib.Path(hypq.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["analyze", "-p", "5", "-q", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypq", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_cli_render_exits_3_when_precision_runs_out(tmp_path, capsys):
