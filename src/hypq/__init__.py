@@ -43,7 +43,7 @@ from .schlafli import (
     splitting_matrix,
     validate,
 )
-from .sectors import SectorBoundary, cover, cover_closure_residual, sector
+from .sectors import SectorBoundary, cover, cover_closure_residual
 from .spectral import SpectralReport, analyze, find_roots, is_pisot, strip_factors
 from .tiling import Tessellation, tessellate
 from .tree import SpanningTree, generate, recurrence_check
@@ -86,7 +86,6 @@ __all__ = [
     "recurrence_check",
     "represent_greedy",
     "represent_maximal",
-    "sector",
     "splitting_matrix",
     "strip_factors",
     "tessellate",

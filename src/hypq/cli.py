@@ -2,19 +2,20 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 SVG that ``render -o`` cannot write), 3 resource limit (a node or tile
-cap exceeded, or double precision exhausted near the disc boundary).
+cap exceeded, or double precision exhausted near the disc boundary),
+141 stdout closed early (128 + SIGPIPE, as a shell reports for a
+reader such as ``head`` that stops reading).
 ``--scheme auto`` (the default) picks the even scheme for even q and
 reports both odd variants for odd q; the subcommands that need a single
-scheme require an explicit choice when q is odd.  The node cap honors
-the HYPQ_NODE_CAP environment variable; the --node-cap flag beats it.
-A HYPQ_NODE_CAP that is not an integer raises ``errors.InvalidNodeCap``,
-which exits 2 (invalid input).
+scheme require an explicit choice when q is odd.  ``tree --node-cap``
+defaults to ``tree.DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -45,12 +46,13 @@ from .schlafli import (
     validate,
 )
 from .spectral import analyze
-from .tree import generate, recurrence_check, to_dot
+from .tree import DEFAULT_NODE_CAP, generate, recurrence_check, to_dot
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 SCHEME_TAGS = [s.value for s in Scheme]
 
@@ -201,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--node-cap",
         type=int,
-        default=None,
-        help="overrides HYPQ_NODE_CAP and the built-in default",
+        default=DEFAULT_NODE_CAP,
+        help="most nodes the tree may hold (default: %(default)s)",
     )
     sub.set_defaults(fn=cmd_tree)
 
@@ -239,10 +241,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (CapExceeded, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (HypqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the
+        # interpreter's final flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 
 from .disc import GEOM_TOL, Geodesic, Tile, base_tile, geodesic_through, reflect_tile
 from .errors import CapExceeded, PrecisionExhausted
-from .render import _tile_entry
 from .schlafli import REGION_ORDER, Region, SchlafliPair, Scheme, build_system, validate
 from .tiling import DEFAULT_TILE_CAP, tessellate
 # level_counts is re-exported for counting a Fibonacci tree's levels
@@ -244,10 +243,10 @@ def dual_scene(depth: int = 3) -> dict:
     """Scene showing the numbered {5,4} sector: black (S1) tiles shaded,
     node ids printed at their assigned vertices, delimiting lines in full."""
     sector = pentagrid_sector(depth)
-    tiles = [_tile_entry(sector.central)]
+    tiles = [{"points": sector.central.vertices}]
     labels = []
     for nid, tile in enumerate(sector.tiles, 1):
-        entry = _tile_entry(tile)
+        entry = {"points": tile.vertices}
         if sector.tree.node(nid).kind is Region.S1:
             entry["fill"] = "#d9d9d9"
         tiles.append(entry)

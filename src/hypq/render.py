@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from xml.sax.saxutils import escape
 
-from .disc import Tile, _arc, base_tile
+from .disc import _arc, base_tile
 from .errors import PrecisionExhausted
 from .lines import h_midpoint_line, zigzag_line
 from .schlafli import SchlafliPair, Scheme
@@ -217,10 +217,6 @@ _MIDLINE_STEPS = 4
 _ZIGZAG_STEPS = 8
 
 
-def _tile_entry(tile: Tile) -> dict:
-    return {"points": tile.vertices}
-
-
 def _sector_entry(sb: SectorBoundary) -> dict:
     arcs = [
         {"a": r.origin, "b": r.ideal_endpoint()} for r in sb.rays
@@ -232,7 +228,7 @@ def tessellation_scene(pair: SchlafliPair, generations: int = 3) -> dict:
     """All tiles of the reflection closure, nothing else."""
     tess = tessellate(pair, generations)
     return {
-        "tiles": [_tile_entry(t) for t in tess.tiles],
+        "tiles": [{"points": t.vertices} for t in tess.tiles],
         "geodesics": [],
         "sectors": [],
         "labels": [],

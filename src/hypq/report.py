@@ -24,7 +24,7 @@ import json
 from itertools import chain
 
 from . import polyint
-from .spectral import SpectralReport
+from .spectral import ROOT_PRECISION, SpectralReport
 
 #: Largest integer magnitude representable exactly by a double.
 _SAFE_INT = 2**53
@@ -88,7 +88,7 @@ def report_dict(sr: SpectralReport) -> dict:
             }
             for r in sr.roots.roots
         ],
-        "precision": sr.roots.precision,
+        "precision": ROOT_PRECISION,
     }
     return {
         "pair": {"p": sr.pair.p, "q": sr.pair.q},

@@ -24,8 +24,7 @@ rays are drawn and checked for closure, and no membership is decided
 here.  Copies are indexed so that consecutive copies share a supporting
 line; cover_closure_residual measures how exactly the copies close up
 around the vertex.  cover builds the frame of named points at V (with
-the base tile and its half-edge) once and reads every copy from it;
-sector builds one copy the same way.
+the base tile and its half-edge) once and reads every copy from it.
 
 A ray's heading is its run along its line's axis map (the line's own,
 built once): the pairing of a cover compares headings on that axis, and
@@ -168,25 +167,14 @@ def _bisector_probe(f: _VertexFrame, apex: complex, rays: tuple[Ray, Ray]) -> co
     return point_at(apex, d / abs(d), 0.5 * f.half_edge)
 
 
-def sector(
-    pair: SchlafliPair, scheme: Scheme, kind: Region, copy_index: int = 0
-) -> SectorBoundary:
-    """One copy of the requested sector around the base vertex.
+def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBoundary]:
+    """All copies of the sector that together tile around the vertex.
 
-    copy_index walks clockwise around the vertex; consecutive indices
-    share a supporting line.  For the OddV2 S0' cover, even indices are
-    the copies apexed at the outer mid-points A_k and odd indices the
+    Copy k walks clockwise around the vertex; consecutive copies share
+    a supporting line.  For the OddV2 S0' cover, even indices are the
+    copies apexed at the outer mid-points A_k and odd indices the
     in-between copies apexed at the edge mid-points C_k.
     """
-    _check_scheme(pair, scheme, kind)
-    n = cover_size(pair, scheme)
-    if not 0 <= copy_index < n:
-        raise ValueError(f"copy_index must be in 0..{n - 1}")
-    return _copy(_frame(pair), scheme, kind, copy_index)
-
-
-def cover(pair: SchlafliPair, scheme: Scheme, kind: Region) -> list[SectorBoundary]:
-    """All copies of the sector that together tile around the vertex."""
     _check_scheme(pair, scheme, kind)
     f = _frame(pair)
     return [_copy(f, scheme, kind, k) for k in range(cover_size(pair, scheme))]

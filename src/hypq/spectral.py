@@ -65,15 +65,13 @@ class RootSet:
 
     roots: tuple[Root, ...]
     beta: float | None
-    precision: float
     remainder: tuple[int, ...] = (1,)
 
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    """original = X^stripped_x_power * product(unit_factors) * core, exactly."""
+    """A polynomial as X^stripped_x_power * product(unit_factors) * core."""
 
-    original: tuple[int, ...]
     stripped_x_power: int
     unit_factors: tuple[tuple[int, ...], ...]
     core: tuple[int, ...]
@@ -210,7 +208,7 @@ def find_roots(poly: tuple[int, ...]) -> RootSet:
     roots.sort(key=lambda r: (-r.value.real, abs(r.value.imag)))
     reals = [r for r in roots if r.is_real]
     beta = max((r.value.real for r in reals), default=None)
-    return RootSet(tuple(roots), beta, ROOT_PRECISION, rest)
+    return RootSet(tuple(roots), beta, rest)
 
 
 #: The admissible degenerate factors 1 + X + ... + X^m for m = 1, 2.
@@ -220,8 +218,7 @@ UNIT_FACTORS = ((1, 1), (1, 1, 1))
 
 def strip_factors(poly: tuple[int, ...]) -> FactorDecomposition:
     """Remove factors of X and unit factors by exact division."""
-    original = polyint.normalize(poly)
-    core = original
+    core = polyint.normalize(poly)
     x_power = 0
     while polyint.degree(core) >= 1 and core[-1] == 0:
         core = core[:-1]
@@ -238,7 +235,7 @@ def strip_factors(poly: tuple[int, ...]) -> FactorDecomposition:
                     core = quo
                     progress = True
                     break
-    return FactorDecomposition(original, x_power, tuple(removed), core)
+    return FactorDecomposition(x_power, tuple(removed), core)
 
 
 def is_pisot(poly: tuple[int, ...]) -> PisotCertificate:
@@ -376,7 +373,7 @@ def analyze(pair: SchlafliPair, scheme: Scheme) -> SpectralReport:
     roots = (
         find_roots(deco.core)
         if polyint.degree(deco.core) >= 1
-        else RootSet((), None, ROOT_PRECISION)
+        else RootSet((), None)
     )
     verdict = _verdict(roots)
     if verdict.reason == REASON_NO_DOMINANT:

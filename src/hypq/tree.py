@@ -27,7 +27,6 @@ fills no table, so its memory does not grow with the tree.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -35,26 +34,14 @@ from itertools import accumulate, chain, islice, repeat
 from operator import index
 from typing import NamedTuple, TextIO
 
-from .errors import CapExceeded, InvalidNodeCap, TooFewLevels
+from .errors import CapExceeded, TooFewLevels
 from .polyint import degree, normalize
 from .schlafli import REGION_ORDER, Region, SplittingSystem, splitting_matrix
 
-#: Hard ceiling on total node count; override with the HYPQ_NODE_CAP
-#: environment variable or the explicit cap argument.
+#: Hard ceiling on total node count unless a cap is passed explicitly.
 DEFAULT_NODE_CAP = 10**7
 
 _CODE = {kind: i for i, kind in enumerate(REGION_ORDER)}
-
-
-def node_cap() -> int:
-    """The node cap from HYPQ_NODE_CAP, else DEFAULT_NODE_CAP."""
-    raw = os.environ.get("HYPQ_NODE_CAP", DEFAULT_NODE_CAP)
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidNodeCap(
-            f"HYPQ_NODE_CAP must be an integer, got {raw!r}"
-        ) from None
 
 
 def _level_vectors(system: SplittingSystem):
@@ -73,9 +60,8 @@ def kind_counts(system: SplittingSystem, depth: int) -> list[tuple[int, ...]]:
     return list(islice(_level_vectors(system), depth + 1))
 
 
-def max_depth_within_cap(system: SplittingSystem, cap: int | None = None) -> int:
+def max_depth_within_cap(system: SplittingSystem, cap: int = DEFAULT_NODE_CAP) -> int:
     """Largest depth whose full tree stays within the node cap."""
-    cap = node_cap() if cap is None else cap
     if cap < 1:
         raise CapExceeded(f"cap {cap} cannot hold even the root")
     total = 0
@@ -184,7 +170,7 @@ class SpanningTree:
 
 
 def generate(
-    system: SplittingSystem, depth: int, cap: int | None = None
+    system: SplittingSystem, depth: int, cap: int = DEFAULT_NODE_CAP
 ) -> SpanningTree:
     """Breed the full tree of the given depth from the seed region.
 
@@ -203,7 +189,6 @@ def generate(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cap = node_cap() if cap is None else cap
     sizes = []
     total = 0
     for level, vec in zip(range(depth + 1), _level_vectors(system)):

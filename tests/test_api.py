@@ -265,3 +265,25 @@ def test_single_value_options_are_gone():
     assert _parameters(dual.dual_scene) == ["depth"]
     about = inspect.signature(disc.rotation).parameters["about"]
     assert about.default is inspect.Parameter.empty
+
+
+def test_second_routes_are_gone():
+    # each value has one route: the node cap is an argument, a sector
+    # copy comes from its cover, a report stores only what is read, and
+    # a layer reaches no other layer's private helper
+    from hypq import dual, sectors, spectral
+
+    for path in SRC.glob("*.py"):
+        assert sorted(_names(path) & {"environ", "getenv"}) == [], path.stem
+    assert not hasattr(errors, "InvalidNodeCap")
+    assert "sector" not in _defined(ast.parse(inspect.getsource(sectors)))
+    assert "sector" not in hypq.__all__
+    for cls in (spectral.FactorDecomposition, spectral.RootSet):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert sorted(names & {"original", "precision"}) == [], cls.__name__
+    imports = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(dual)))
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert [n.module for n in imports if n.module == "render"] == []

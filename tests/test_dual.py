@@ -121,8 +121,7 @@ def test_fibonacci_tree_generalizes_in_p():
         fibonacci_tree(-1)
 
 
-def test_fibonacci_tree_guards(monkeypatch):
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+def test_fibonacci_tree_guards():
     start = time.perf_counter()
     with pytest.raises(CapExceeded):
         fibonacci_tree(40)
@@ -248,8 +247,7 @@ def test_placed_tiles_are_the_sector_cells(p, depths):
         assert set(ids) == members, (p, depth)
 
 
-def test_sector_placement_is_bounded(monkeypatch):
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+def test_sector_placement_is_bounded():
     # 196417 nodes at depth 12: refused before any tile is placed
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=r"\{5,4\} sector: more than 100000 tiles"):
@@ -269,17 +267,15 @@ def test_sector_cap_is_checked_before_the_tree_is_built(monkeypatch, depth):
     def generate(*args, **kwargs):
         raise AssertionError("the tree was built")
 
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
     monkeypatch.setattr(hypq.dual, "generate", generate)
     want = rf"^\{{5,4\}} sector: more than 100000 tiles at depth {depth}$"
     with pytest.raises(CapExceeded, match=want):
         pentagrid_sector(depth)
 
 
-def test_cli_refuses_a_dual_figure_past_the_tile_cap(capsys, monkeypatch, tmp_path):
+def test_cli_refuses_a_dual_figure_past_the_tile_cap(capsys, tmp_path):
     from hypq.cli import main
 
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
     out = tmp_path / "dual.svg"
     args = ["render", "--what", "dual45", "-p", "4", "-q", "5", "--depth", "20"]
     assert main(args + ["-o", str(out)]) == 3

@@ -261,10 +261,21 @@ def test_cli_tree_node_cap_flag(capsys):
     assert "depth 6: the tree passes the cap of 100 nodes at level 5" in err
 
 
-def test_cli_tree_refuses_any_depth_at_once(capsys, monkeypatch):
+def test_cli_tree_env_cap_and_flag_override(capsys, monkeypatch):
+    # the cap comes from --node-cap alone: a HYPQ_NODE_CAP in the
+    # environment is not read, so a cap of 100 there refuses nothing
+    monkeypatch.setenv("HYPQ_NODE_CAP", "100")
+    args = ["tree", "-p", "5", "-q", "4", "--depth", "6"]
+    for extra in ([], ["--node-cap", "2000"]):
+        assert main(args + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "1 3 8 21 55 144 377 | recurrence: OK"
+        assert captured.err == ""
+
+
+def test_cli_tree_refuses_any_depth_at_once(capsys):
     # the refusal stops at the first level past the cap instead of sizing
     # a 200000-level tree, whose node count has ~83000 decimal digits
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
     args = ["tree", "-p", "5", "-q", "4", "--depth", "200000"]
     start = time.perf_counter()
     assert main(args) == 3
@@ -274,10 +285,9 @@ def test_cli_tree_refuses_any_depth_at_once(capsys, monkeypatch):
     assert "cap of 10000000 nodes" in err
 
 
-def test_cli_tree_cost_follows_rules_not_children(capsys, monkeypatch):
+def test_cli_tree_cost_follows_rules_not_children(capsys):
     # {3000,3001} rules have millions of children; laying out each level
     # from the rules' multiplicity runs keeps this well under a second
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
     base = ["tree", "-p", "3000", "-q", "3001", "--format", "counts"]
     start = time.perf_counter()
     assert main(base + ["--scheme", "odd-v1", "--depth", "0"]) == 0
@@ -286,24 +296,6 @@ def test_cli_tree_cost_follows_rules_not_children(capsys, monkeypatch):
     assert out == "1 | recurrence: SKIPPED (too few levels)\n"
     assert main(base + ["--scheme", "odd-v2", "--depth", "1"]) == 0
     assert capsys.readouterr().out.startswith("1 8985007 ")
-
-
-@pytest.mark.parametrize("raw", ["abc", ""])
-def test_cli_tree_rejects_a_bad_env_cap(capsys, monkeypatch, raw):
-    monkeypatch.setenv("HYPQ_NODE_CAP", raw)
-    assert main(["tree", "-p", "5", "-q", "4", "--depth", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: HYPQ_NODE_CAP must be an integer, got {raw!r}\n"
-
-
-def test_cli_tree_env_cap_and_flag_override(capsys, monkeypatch):
-    monkeypatch.setenv("HYPQ_NODE_CAP", "100")
-    args = ["tree", "-p", "5", "-q", "4", "--depth", "6"]
-    assert main(args) == 3
-    capsys.readouterr()
-    assert main(args + ["--node-cap", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert out.strip() == "1 3 8 21 55 144 377 | recurrence: OK"
 
 
 def test_cli_tree_dot_and_json(capsys):
@@ -376,17 +368,41 @@ def test_cli_render_refuses_an_output_it_cannot_write(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
-def test_python_dash_m_hypq_runs_the_cli(capsys):
+def _python_dash_m_hypq(argv):
+    """The argument list and environment that run ``python -m hypq argv``
+    against this checkout's package."""
     src = str(pathlib.Path(hypq.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "hypq", *argv], env
+
+
+def test_python_dash_m_hypq_runs_the_cli(capsys):
     argv = ["analyze", "-p", "5", "-q", "4"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypq", *argv],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    cmd, env = _python_dash_m_hypq(argv)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=False)
     assert main(argv) == 0
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "-p", "5", "-q", "4", "--depth", "12", "--format", "dot"],
+        ["numeration", "-p", "5", "-q", "4", "--up-to", "100000"],
+    ],
+)
+def test_cli_exits_141_when_stdout_closes(argv):
+    # a reader that stops early, like ``head -1``: exit 128 + SIGPIPE
+    # with nothing on stderr, not a traceback with exit 1
+    cmd, env = _python_dash_m_hypq(argv)
+    with subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_cli_render_exits_3_when_precision_runs_out(tmp_path, capsys):
@@ -434,8 +450,7 @@ def test_cli_render_dual45_only_for_four_five(tmp_path, capsys):
     assert out.read_text(encoding="utf-8").startswith("<?xml")
 
 
-def test_cli_render_dual45_refuses_past_the_tile_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
+def test_cli_render_dual45_refuses_past_the_tile_cap(tmp_path, capsys):
     out = tmp_path / "dual.svg"
     args = ["render", "-p", "4", "-q", "5", "--what", "dual45",
             "--depth", "12", "-o", str(out)]
@@ -449,6 +464,28 @@ def test_cli_verify_core_passes(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "6/6 checks passed"
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
+
+
+#: SHA-256 of the stdout of ``cli.main(["verify", scope])``.
+PINNED_VERIFY = {
+    "core": "e02b0bd510904afc35d305b0afa6f8ea24e6e61d7c9b9cdccccd4ba084674579",
+    "geometry": "070d88500a6a97016388f9ef8dc8b7d9c8b7dfc627827b0eb8c85b3b9f6c4272",
+    "dual": "70d71c852e724466d725efc7c49a8788bf1f578983c6698591cfb3e68003eed3",
+}
+
+
+@pytest.mark.parametrize("scope", PINNED_VERIFY)
+def test_cli_verify_text_is_pinned(capsys, scope):
+    """The fast ``verify`` scopes print the same text in every run.
+
+    Protocol: run ``cli.main(["verify", scope])`` in process, take the
+    captured stdout as UTF-8 and compare its SHA-256 hex digest with
+    PINNED_VERIFY.  The node cap is an argument, not an environment
+    setting, so the text does not depend on the environment either.
+    """
+    assert main(["verify", scope]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY[scope]
 
 
 def test_cli_verify_reports_failures(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from hypq import sectors, verify
 from hypq.disc import base_tile, hyp_distance, point_at
 from hypq.errors import SchemeParityMismatch, UnsupportedCase
 from hypq.schlafli import Region, Scheme, validate
-from hypq.sectors import cover, cover_closure_residual, cover_size, sector
+from hypq.sectors import cover, cover_closure_residual, cover_size
 from hypq.tiling import tessellate
 
 Membership = geometry_oracle.Membership
@@ -23,19 +23,17 @@ TOL = 1e-9
 def test_scheme_guards():
     five_seven = validate(5, 7)
     with pytest.raises(SchemeParityMismatch):
-        sector(validate(5, 4), Scheme.ODD_V1, Region.S0)
+        cover(validate(5, 4), Scheme.ODD_V1, Region.S0)
     with pytest.raises(SchemeParityMismatch):
-        sector(five_seven, Scheme.EVEN_Q, Region.S0)
+        cover(five_seven, Scheme.EVEN_Q, Region.S0)
     with pytest.raises(UnsupportedCase):
-        sector(five_seven, Scheme.ODD_LEGACY, Region.S0)
+        cover(five_seven, Scheme.ODD_LEGACY, Region.S0)
     with pytest.raises(UnsupportedCase):
-        sector(five_seven, Scheme.ODD_V1, Region.S1)
+        cover(five_seven, Scheme.ODD_V1, Region.S1)
     with pytest.raises(UnsupportedCase):
-        sector(validate(5, 4), Scheme.EVEN_Q, Region.S0_PRIME)
+        cover(validate(5, 4), Scheme.EVEN_Q, Region.S0_PRIME)
     with pytest.raises(UnsupportedCase):
-        sector(five_seven, Scheme.ODD_V2, Region.S0)
-    with pytest.raises(ValueError):
-        sector(five_seven, Scheme.ODD_V1, Region.S0, copy_index=7)
+        cover(five_seven, Scheme.ODD_V2, Region.S0)
 
 
 def test_cover_sizes():
@@ -93,13 +91,9 @@ PINNED_COVERS = {
 
 @pytest.mark.parametrize("p,q,scheme,kind", PINNED_COVERS)
 def test_cover_bytes_are_pinned(p, q, scheme, kind):
-    pair = validate(p, q)
-    cov = cover(pair, scheme, kind)
+    cov = cover(validate(p, q), scheme, kind)
     digest = hashlib.sha256(repr(cov).encode()).hexdigest()
     assert digest == PINNED_COVERS[p, q, scheme, kind]
-    # a copy built alone is the copy the cover builds
-    for k, copy in enumerate(cov):
-        assert sector(pair, scheme, kind, k) == copy
 
 
 @pytest.mark.parametrize("p,q,scheme,kind", PINNED_COVERS)
@@ -203,7 +197,7 @@ def test_even_sector_reproduces_the_tree_counts():
     # tiles per generation inside one even-q copy follow the splitting
     # counts: the geometric and the combinatorial pictures agree
     pair = validate(5, 4)
-    s = Membership(sector(pair, Scheme.EVEN_Q, Region.S0, 0))
+    s = Membership(cover(pair, Scheme.EVEN_Q, Region.S0)[0])
     per_gen = Counter()
     for tile in tessellate(pair, 4).tiles:
         if s.owns(tile):
@@ -219,7 +213,7 @@ def test_fan_at_the_head_vertex(p, q):
     pair = validate(p, q)
     head = base_tile(pair)
     w = head.vertices[-1]
-    s0 = Membership(sector(pair, Scheme.ODD_V1, Region.S0, 0))
+    s0 = Membership(cover(pair, Scheme.ODD_V1, Region.S0)[0])
     members = []
     for tile in tessellate(pair, 2).tiles:
         if min(abs(v - w) for v in tile.vertices) > 1e-9:
@@ -235,8 +229,8 @@ def test_fan_at_the_head_vertex(p, q):
 
 def test_odd_v1_prime_wedge_nests_inside_s0():
     pair = validate(5, 7)
-    s0 = Membership(sector(pair, Scheme.ODD_V1, Region.S0, 0))
-    sp_sector = sector(pair, Scheme.ODD_V1, Region.S0_PRIME, 0)
+    s0 = Membership(cover(pair, Scheme.ODD_V1, Region.S0)[0])
+    sp_sector = cover(pair, Scheme.ODD_V1, Region.S0_PRIME)[0]
     sp = Membership(sp_sector)
     checked = 0
     for i in range(720):

@@ -23,7 +23,6 @@ from hypq.spectral import (
     REASON_NON_PISOT,
     REASON_PISOT,
     REASON_UNIT_ROOT,
-    ROOT_PRECISION,
     RootSet,
     SpectralReport,
     analyze,
@@ -292,7 +291,7 @@ def _oracle_analyze(pair, scheme):
     core_roots = (
         find_roots(deco.core)
         if polyint.degree(deco.core) >= 1
-        else RootSet((), None, ROOT_PRECISION)
+        else RootSet((), None)
     )
     full_pisot, _, _ = _oracle_is_pisot(poly)
 

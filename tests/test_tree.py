@@ -12,7 +12,6 @@ from hypq import tree as tree_mod
 from hypq.dual import fibonacci_tree
 from hypq.errors import (
     CapExceeded,
-    InvalidNodeCap,
     SchemeParityMismatch,
     TooFewLevels,
     UnsupportedCase,
@@ -28,7 +27,6 @@ from hypq.tree import (
     generate,
     kind_counts,
     max_depth_within_cap,
-    node_cap,
     recurrence_check,
     recurrence_coefficients,
     to_dot,
@@ -103,28 +101,6 @@ def test_generate_rejects_bad_depth_and_caps():
         generate(FIVE_FOUR, 5, cap=100)
     # predicted up front: no partial tree is built
     generate(FIVE_FOUR, 5, cap=1000)
-
-
-def test_node_cap_environment_override(monkeypatch):
-    monkeypatch.delenv("HYPQ_NODE_CAP", raising=False)
-    default = node_cap()
-    monkeypatch.setenv("HYPQ_NODE_CAP", "123")
-    assert node_cap() == 123
-    with pytest.raises(CapExceeded):
-        generate(FIVE_FOUR, 6)
-    monkeypatch.delenv("HYPQ_NODE_CAP")
-    assert node_cap() == default
-
-
-@pytest.mark.parametrize("raw", ["abc", ""])
-def test_node_cap_environment_must_be_an_integer(monkeypatch, raw):
-    monkeypatch.setenv("HYPQ_NODE_CAP", raw)
-    with pytest.raises(InvalidNodeCap, match=f"HYPQ_NODE_CAP.*{raw!r}"):
-        node_cap()
-    with pytest.raises(InvalidNodeCap):
-        generate(FIVE_FOUR, 2)
-    # an explicit cap never reads the variable
-    assert generate(FIVE_FOUR, 2, cap=100).size == 12
 
 
 def _desk_systems():
